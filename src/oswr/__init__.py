@@ -21,6 +21,7 @@ from .frequency import (
     sufficient_condition_holds,
 )
 from .optimize import (
+    CaseDataError,
     OptimizationError,
     OptimizedResult,
     VersionICaseData,
@@ -65,6 +66,7 @@ __all__ = [
     "max_rho_over_band",
     "rho",
     "sufficient_condition_holds",
+    "CaseDataError",
     "OptimizationError",
     "OptimizedResult",
     "VersionICaseData",

@@ -17,8 +17,9 @@ import numpy as np
 
 from .fem import DiffusionProfile, HeatProblem, Mesh1D, solve_monolithic
 from .frequency import DiffusionPair, frequency_band_from_grid, rho
-from .optimize import optimize, optimize_v3, v3_equation_sides
+from .optimize import OptimizationError, optimize, optimize_v3, v3_equation_sides
 from .schwarz import (
+    Decomposition,
     IterationDiverged,
     decompose,
     interface_diffusion_pairs,
@@ -274,6 +275,39 @@ def _elements_for(dx: float) -> int:
     return n
 
 
+def _case_setup(
+    cfg: ExperimentConfig,
+    layers: tuple[float, ...],
+    interfaces: tuple[float, ...],
+    dx: float,
+    dt: float,
+) -> tuple[Mesh1D, Decomposition, HeatProblem]:
+    """Mesh, split and problem of one case; ConfigError if the grid does not fit."""
+    n_steps = round(cfg.final_time / dt)
+    if n_steps < 1 or abs(n_steps * dt - cfg.final_time) > 1e-9 * cfg.final_time:
+        raise ConfigError(f"dt={dt} does not divide T={cfg.final_time}")
+    if len(layers) != len(interfaces) + 1:
+        raise ConfigError(
+            f"{len(layers)} diffusion layers need {len(layers) - 1} interfaces, "
+            f"got {len(interfaces)}"
+        )
+    mesh = Mesh1D.uniform(0.0, 1.0, _elements_for(dx))
+    try:
+        deco = decompose(mesh, interfaces)
+    except ValueError as exc:
+        raise ConfigError(f"dx={dx} does not fit the interfaces: {exc}") from None
+    problem = HeatProblem(
+        DiffusionProfile(layers, interfaces),
+        None,
+        cfg.initial_value,
+        cfg.bc_left,
+        cfg.bc_right,
+        cfg.final_time,
+        dt,
+    )
+    return mesh, deco, problem
+
+
 @dataclass
 class _CaseResult:
     params: object = None
@@ -293,21 +327,14 @@ def _run_layered_case(
     dx: float,
     dt: float,
 ) -> _CaseResult:
-    """One (version, geometry, grid) waveform-relaxation run."""
+    """One (version, geometry, grid) waveform-relaxation run.
+
+    A case that does not fit its grid, diverges or defeats the optimizer is
+    recorded in ``error``; any other exception is a bug and propagates.
+    """
     out = _CaseResult()
     try:
-        mesh = Mesh1D.uniform(0.0, 1.0, _elements_for(dx))
-        deco = decompose(mesh, interfaces)
-        profile = DiffusionProfile(layers, interfaces)
-        problem = HeatProblem(
-            profile,
-            None,
-            cfg.initial_value,
-            cfg.bc_left,
-            cfg.bc_right,
-            cfg.final_time,
-            dt,
-        )
+        mesh, deco, problem = _case_setup(cfg, layers, interfaces, dx, dt)
         reference = solve_monolithic(problem, mesh)
         band = frequency_band_from_grid(cfg.final_time, dt)
         pairs = interface_diffusion_pairs(problem, deco)
@@ -331,7 +358,7 @@ def _run_layered_case(
             out.iterations = history.iterations_to_tolerance
         else:
             out.error = f"did not converge within {cfg.max_iter} iterations"
-    except (ConfigError, ValueError, IterationDiverged, RuntimeError) as exc:
+    except (ConfigError, IterationDiverged, OptimizationError) as exc:
         out.error = str(exc)
     return out
 

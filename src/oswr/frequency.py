@@ -229,9 +229,10 @@ def interior_critical_frequencies(
         points = [wc]
         if mu > MU_SPLIT:
             delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
-            base = params.p * params.p / (4.0 * mu * mu)
-            points.append(math.sqrt(base * ((mu - 1.0) ** 2 - delta)))
-            points.append(math.sqrt(base * ((mu - 1.0) ** 2 + delta)))
+            # sqrt((mu - 1)^2 - delta) = 2 mu / outer without cancellation
+            outer = math.sqrt((mu - 1.0) ** 2 + delta)
+            points.append(params.p / outer)
+            points.append(params.p * outer / (2.0 * mu))
         return sorted(points)
     if params.version == "II":
         return [params.q / math.sqrt(2.0)]

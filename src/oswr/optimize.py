@@ -40,6 +40,7 @@ from .frequency import (
 
 __all__ = [
     "OptimizationError",
+    "CaseDataError",
     "VersionICaseData",
     "OptimizedResult",
     "version_i_case_data",
@@ -63,6 +64,15 @@ V3_MAX_BISECTIONS = 200
 
 class OptimizationError(RuntimeError):
     """Raised when a parameter search cannot certify its bracket or converge."""
+
+
+class CaseDataError(ValueError):
+    """Raised when the Version I case diagnostics come out inconsistent.
+
+    For every finite jump beyond the split the closed forms give h1 < h2
+    and ordered parameter ranges, so a violation means the jump was not
+    finite (or the arithmetic lost it).
+    """
 
 
 def _interior_level(mu: float) -> float:
@@ -140,11 +150,12 @@ def version_i_case_data(band: FrequencyBand, mu: float) -> VersionICaseData:
     ) / (4.0 * mu)
     h2 = ((mu - 1.0) ** 2 + delta) / (2.0 * mu)
     if h2 < h1 * (1.0 - 1e-12):
-        raise AssertionError(f"h2={h2} < h1={h1} for mu={mu}")
-    left = (wt1 * math.sqrt((mu - 1.0) ** 2 - delta), a * wt1)
-    right = (a * wt2, wt2 * math.sqrt((mu - 1.0) ** 2 + delta))
+        raise CaseDataError(f"h2={h2} < h1={h1} for mu={mu}")
+    lo, hi = restriction_interval_v1(band, mu)
+    left = (lo, a * wt1)
+    right = (a * wt2, hi)
     if not (left[0] <= center[0] <= right[0]):
-        raise AssertionError("parameter ranges out of order")
+        raise CaseDataError(f"parameter ranges out of order for mu={mu}")
     if k_r > h2:
         branch = "case_i"
     elif k_r > h1:
@@ -189,10 +200,11 @@ def restriction_interval_v1(band: FrequencyBand, mu: float) -> tuple[float, floa
         a = math.sqrt(2.0 * mu)
         return (a * wt1, a * wt2)
     delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
-    return (
-        wt1 * math.sqrt((mu - 1.0) ** 2 - delta),
-        wt2 * math.sqrt((mu - 1.0) ** 2 + delta),
-    )
+    # (mu - 1)^4 - delta^2 = 4 mu^2, so sqrt((mu - 1)^2 - delta) is taken as
+    # 2 mu / sqrt((mu - 1)^2 + delta): the difference itself cancels, and
+    # comes out negative for some mu beyond about 2e8.
+    outer = math.sqrt((mu - 1.0) ** 2 + delta)
+    return (wt1 * 2.0 * mu / outer, wt2 * outer)
 
 
 def quartic_positive_roots(band: FrequencyBand, mu: float) -> list[float]:

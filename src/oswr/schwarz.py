@@ -2,8 +2,13 @@
 
 Each iteration solves every space-time subdomain over the whole window
 (0, T), exchanging interface traces and variational fluxes through Robin
-conditions.  With the variational flux the exact discrete fixed point of
-the iteration is the monolithic solution, so the per-iteration error
+conditions.  A subdomain solve is affine and time-invariant in its Robin
+data, so every subdomain is stepped in time only once per case for its
+affine part and once per Robin end for the impulse response; an
+iteration then rebuilds each subdomain solution by FFT convolution of
+its Robin series with those responses.  With the variational flux the
+exact discrete fixed point of the iteration is the monolithic solution,
+so the per-iteration error
 
     e_k = max over subdomains, nodes and time levels of
           |monolithic - subdomain value|
@@ -14,7 +19,7 @@ is the natural convergence measure and is what the driver records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -45,6 +50,7 @@ __all__ = [
 INIT_MODES = ("zero", "from_initial", "exact")
 SWEEP_MODES = ("gauss_seidel", "jacobi")
 DIVERGENCE_FACTOR = 1e6
+_FFT_BLOCK = 8  # field columns per inverse FFT; bounds the complex temporaries
 
 
 class IterationDiverged(RuntimeError):
@@ -228,6 +234,68 @@ def _initial_state(
     return states
 
 
+class _SubdomainResponse:
+    """One subdomain's field and Robin-end fluxes as affine maps of its Robin data.
+
+    Backward Euler with a fixed system matrix is linear and time-invariant
+    in the Robin series g_R, so the solve with Robin series ``g`` at each
+    Robin end equals the solve with zero Robin data (initial value, source,
+    Dirichlet ends) plus, per Robin end, the causal convolution of ``g``
+    with the response to the unit impulse ``[1, 0, ..., 0]`` at that end.
+    Time stepping happens only here, once for the affine part and once per
+    Robin end; ``solve`` evaluates the convolutions with FFTs of length
+    2 * n_steps, which makes them exact linear (not circular) convolutions.
+    """
+
+    def __init__(self, problem: HeatProblem, mesh: Mesh1D, sigmas: dict[str, float]):
+        """``sigmas`` maps each Robin end to its coefficient; other ends are Dirichlet."""
+        n = problem.n_steps
+        self.sides = tuple(side for side in ("left", "right") if side in sigmas)
+        self.mesh = mesh
+        self.time_step = problem.time_step
+        self.n_steps = n
+        zero = np.zeros(n)
+        impulse = np.zeros(n)
+        impulse[0] = 1.0
+
+        def solve_with(prob: HeatProblem, hit: str | None) -> np.ndarray:
+            ends = [
+                RobinBoundaryData(side, sigmas[side], impulse if side == hit else zero)
+                if side in sigmas
+                else dirichlet
+                for side, dirichlet in (("left", prob.bc_left), ("right", prob.bc_right))
+            ]
+            field, fluxes = solve_subdomain_robin(prob, mesh, *ends)
+            flux_columns = [np.concatenate(([0.0], fluxes[s])) for s in self.sides]
+            return np.column_stack([field.values] + flux_columns)
+
+        # Levels 0..n_steps (rows) of every node, then of every Robin-end
+        # flux (0 at level 0), as columns.
+        self.base = solve_with(problem, None)
+        quiet = replace(problem, source=None, initial=0.0, bc_left=0.0, bc_right=0.0)
+        self.spectra = [
+            np.fft.rfft(solve_with(quiet, side)[1:].T, 2 * n) for side in self.sides
+        ]
+
+    def solve(
+        self, series: dict[str, np.ndarray]
+    ) -> tuple[SpaceTimeField, dict[str, np.ndarray]]:
+        """Field and Robin-end fluxes for the Robin series at each Robin end."""
+        n = self.n_steps
+        g_hat = [np.fft.rfft(series[side], 2 * n) for side in self.sides]
+        out = self.base.copy()
+        # A few columns at a time keep the complex temporaries small.
+        for lo in range(0, out.shape[1], _FFT_BLOCK):
+            cols = slice(lo, lo + _FFT_BLOCK)
+            acc = self.spectra[0][cols] * g_hat[0]
+            for spectrum, g in zip(self.spectra[1:], g_hat[1:]):
+                acc += spectrum[cols] * g
+            out[1:, cols] += np.fft.irfft(acc, 2 * n)[:, :n].T
+        n_nodes = self.mesh.n_nodes
+        field = SpaceTimeField(self.mesh, self.time_step, out[:, :n_nodes])
+        return field, dict(zip(self.sides, out[1:, n_nodes:].T.copy()))
+
+
 def oswr_iterate(
     problem: HeatProblem,
     decomposition: Decomposition,
@@ -269,34 +337,34 @@ def oswr_iterate(
         reference = solve_monolithic(problem, decomposition.global_mesh)
     n_sub = decomposition.n_subdomains
     state = _initial_state(init, problem, decomposition, reference)
+    responses = []
+    for j, mesh_j in enumerate(decomposition.submeshes):
+        sigmas = {}
+        if j > 0:
+            sigmas["left"] = params[j - 1].sigma2
+        if j < n_sub - 1:
+            sigmas["right"] = params[j].sigma1
+        responses.append(_SubdomainResponse(problem, mesh_j, sigmas))
 
     errors: list[float] = []
     converged = False
     iterations = None
-    fields: list[SpaceTimeField] = [None] * n_sub
 
     for k in range(1, max_iter + 1):
         source = state if sweep == "gauss_seidel" else [s.copy() for s in state]
+        fields: list[SpaceTimeField] = []
         for j in range(n_sub):
-            mesh_j = decomposition.submeshes[j]
-            if j == 0:
-                left_bc = problem.bc_left
-            else:
+            series = {}
+            if j > 0:
                 sigma = params[j - 1].sigma2
                 nb = source[j - 1] if sweep == "jacobi" else state[j - 1]
-                left_bc = RobinBoundaryData(
-                    "left", sigma, sigma * nb.left_trace - nb.left_flux
-                )
-            if j == n_sub - 1:
-                right_bc = problem.bc_right
-            else:
+                series["left"] = sigma * nb.left_trace - nb.left_flux
+            if j < n_sub - 1:
                 sigma = params[j].sigma1
                 nb = source[j]
-                right_bc = RobinBoundaryData(
-                    "right", sigma, sigma * nb.right_trace - nb.right_flux
-                )
-            field, fluxes = solve_subdomain_robin(problem, mesh_j, left_bc, right_bc)
-            fields[j] = field
+                series["right"] = sigma * nb.right_trace - nb.right_flux
+            field, fluxes = responses[j].solve(series)
+            fields.append(field)
             if j > 0:
                 state[j - 1].right_trace = field.values[1:, 0].copy()
                 state[j - 1].right_flux = fluxes["left"]
@@ -316,6 +384,8 @@ def oswr_iterate(
                 f"error {errors[0]} at iteration {k}"
             )
 
+    # The spectra are not needed for merging; free them before it allocates.
+    del responses
     combined = _combine_fields(fields, decomposition, problem, reference)
     history = ConvergenceHistory(
         tuple(errors), tol, converged, iterations, max_iter

@@ -147,6 +147,34 @@ def test_ratio_sweep_records_row_failure_and_continues(tmp_path):
     assert "dx" in row["error"]
 
 
+@pytest.mark.parametrize(
+    "override, fragment",
+    [
+        ({"dt": 0.3}, "dt=0.3 does not divide"),
+        ({"dx": 1.0 / 3.0}, "does not fit the interfaces"),
+        ({"interfaces": (0.25, 0.5)}, "2 diffusion layers need 1 interfaces"),
+    ],
+)
+def test_case_that_does_not_fit_its_grid_is_a_row_error(tmp_path, override, fragment):
+    cfg = _small_cfg(tmp_path, versions=("I", "II"), **override)
+    header, rows = _read_rows(run_ratio_sweep(cfg)[0])
+    assert len(rows) == 2
+    for row in rows:
+        row = dict(zip(header, row))
+        assert row["iterations"] == ""
+        assert fragment in row["error"]
+
+
+def test_case_runner_lets_untyped_errors_through(tmp_path, monkeypatch):
+    # Only typed scenario failures become a CSV error; a bug propagates.
+    def broken(*args, **kwargs):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr("oswr.experiments.oswr_iterate", broken)
+    with pytest.raises(ValueError, match="broadcast"):
+        run_ratio_sweep(_small_cfg(tmp_path))
+
+
 def test_dt_sweep_histories(tmp_path):
     cfg = _small_cfg(tmp_path, scenario="dt_sweep", dt_list=(1.0 / 4.0, 1.0 / 8.0))
     paths = run_dt_sweep(cfg)
