@@ -19,8 +19,8 @@ from .experiments import (
     run_scenario,
     tps_defaults,
 )
-from .optimize import OptimizationError
-from .schwarz import IterationDiverged
+from .optimize import VERSIONS, OptimizationError
+from .schwarz import INIT_MODES, SWEEP_MODES, IterationDiverged
 
 _EPILOG = f"""\
 configuration keys (key=value, one per line, '#' comments, lists comma-separated):
@@ -53,7 +53,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--dts", help="comma-separated time-step list")
     parser.add_argument("--dxs", help="comma-separated mesh-size list")
     parser.add_argument("--ratios", help="comma-separated diffusion-ratio list")
-    parser.add_argument("--versions", help="comma-separated subset of I,II,III")
+    parser.add_argument("--versions", help=f"comma-separated subset of {','.join(VERSIONS)}")
     parser.add_argument("--nu1", type=float, help="left diffusion coefficient")
     parser.add_argument("--nu-layers", help="comma-separated layer coefficients")
     parser.add_argument("--interfaces", help="comma-separated interface coordinates")
@@ -62,8 +62,8 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--g-right", type=float, help="right Dirichlet value")
     parser.add_argument("--tolerance", type=float, help="iteration tolerance")
     parser.add_argument("--max-iter", type=int, help="iteration cap")
-    parser.add_argument("--init", choices=("zero", "from_initial", "exact"), help="first transmission data")
-    parser.add_argument("--sweep", choices=("gauss_seidel", "jacobi"), help="update order")
+    parser.add_argument("--init", choices=INIT_MODES, help="first transmission data")
+    parser.add_argument("--sweep", choices=SWEEP_MODES, help="update order")
     parser.add_argument("--param-grid-size", type=int, help="oracle parameter grid")
     parser.add_argument("--freq-grid-size", type=int, help="oracle frequency grid")
     parser.add_argument("--rho-points", type=int, help="curve resolution")

@@ -17,8 +17,10 @@ import numpy as np
 
 from .fem import DiffusionProfile, HeatProblem, Mesh1D, solve_monolithic
 from .frequency import DiffusionPair, frequency_band_from_grid, rho
-from .optimize import OptimizationError, optimize, optimize_v3, v3_equation_sides
+from .optimize import VERSIONS, OptimizationError, optimize, optimize_v3, v3_equation_sides
 from .schwarz import (
+    INIT_MODES,
+    SWEEP_MODES,
     Decomposition,
     IterationDiverged,
     decompose,
@@ -67,6 +69,11 @@ _DEFAULT_RATIOS = {
     "dx_sweep": (10.0, 1000.0),
     "rho_curves": (10.0, 100.0),
 }
+
+
+def _one_of(choices: tuple[str, ...]) -> str:
+    """'a, b or c' for an error message."""
+    return f"{', '.join(choices[:-1])} or {choices[-1]}"
 
 
 @dataclass
@@ -137,15 +144,17 @@ class ExperimentConfig:
         for v in self.interfaces:
             if not (0.0 < v < 1.0):
                 raise ConfigError(f"interfaces must lie inside (0, 1), got {v}")
-        bad = [v for v in self.versions if v not in ("I", "II", "III")]
+        bad = [v for v in self.versions if v not in VERSIONS]
         if bad or not self.versions:
-            raise ConfigError(f"versions must be a nonempty subset of I,II,III, got {self.versions!r}")
+            raise ConfigError(
+                f"versions must be a nonempty subset of {','.join(VERSIONS)}, got {self.versions!r}"
+            )
         if self.max_iter < 1:
             raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.init not in ("zero", "from_initial", "exact"):
-            raise ConfigError(f"init must be zero, from_initial or exact, got {self.init!r}")
-        if self.sweep not in ("gauss_seidel", "jacobi"):
-            raise ConfigError(f"sweep must be gauss_seidel or jacobi, got {self.sweep!r}")
+        if self.init not in INIT_MODES:
+            raise ConfigError(f"init must be {_one_of(INIT_MODES)}, got {self.init!r}")
+        if self.sweep not in SWEEP_MODES:
+            raise ConfigError(f"sweep must be {_one_of(SWEEP_MODES)}, got {self.sweep!r}")
         if self.param_grid_size < 16 or self.freq_grid_size < 16:
             raise ConfigError("param_grid_size and freq_grid_size must be >= 16")
         if self.scenario == "rho_curves" and self.rho_points < 500:

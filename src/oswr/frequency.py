@@ -186,15 +186,24 @@ class TransmissionParams:
         return cls(sigma1, sigma2, p, q, "custom")
 
 
+def _rho_sq_factor(wt, sigma, nu_own: float, nu_other: float):
+    """Numerator and denominator of one side's factor of rho**2.
+
+    The side with coefficient ``sigma`` and diffusion ``nu_own`` contributes
+    ((sigma - sqrt(nu_other)*wt)^2 + nu_other*wt^2) over
+    ((sigma + sqrt(nu_own)*wt)^2 + nu_own*wt^2).  Each factor depends on one
+    sigma only, which lets a grid scan precompute it per parameter value.
+    """
+    wsq = wt * wt
+    num = (sigma - np.sqrt(nu_other) * wt) ** 2 + nu_other * wsq
+    den = (sigma + np.sqrt(nu_own) * wt) ** 2 + nu_own * wsq
+    return num, den
+
+
 def _rho_sq(wt, sigma1, sigma2, nu1: float, nu2: float):
     """Squared convergence factor; broadcasts over array arguments."""
-    r1 = np.sqrt(nu1)
-    r2 = np.sqrt(nu2)
-    wsq = wt * wt
-    num1 = (sigma1 - r2 * wt) ** 2 + nu2 * wsq
-    den1 = (sigma1 + r1 * wt) ** 2 + nu1 * wsq
-    num2 = (sigma2 - r1 * wt) ** 2 + nu1 * wsq
-    den2 = (sigma2 + r2 * wt) ** 2 + nu2 * wsq
+    num1, den1 = _rho_sq_factor(wt, sigma1, nu1, nu2)
+    num2, den2 = _rho_sq_factor(wt, sigma2, nu2, nu1)
     return (num1 * num2) / (den1 * den2)
 
 
@@ -213,6 +222,24 @@ def rho(wt, params: TransmissionParams, diff: DiffusionPair):
     return out
 
 
+def _stationary_frequencies(version: str, v, mu: float) -> list:
+    """Stationary frequencies of rho for Version I (v = p) or II (v = q).
+
+    mu is the normalized jump.  Broadcasts over array v: each entry of the
+    returned list is one stationary point per generator value, unsorted.
+    """
+    if version == "II":
+        return [v / math.sqrt(2.0)]
+    points = [v / math.sqrt(2.0 * mu)]
+    if mu > MU_SPLIT:
+        delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
+        # sqrt((mu - 1)^2 - delta) = 2 mu / outer without cancellation
+        outer = math.sqrt((mu - 1.0) ** 2 + delta)
+        points.append(v / outer)
+        points.append(v * outer / (2.0 * mu))
+    return points
+
+
 def interior_critical_frequencies(
     params: TransmissionParams, diff: DiffusionPair
 ) -> list[float]:
@@ -225,17 +252,9 @@ def interior_critical_frequencies(
     """
     mu = diff.normalized().mu
     if params.version == "I":
-        wc = params.p / math.sqrt(2.0 * mu)
-        points = [wc]
-        if mu > MU_SPLIT:
-            delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
-            # sqrt((mu - 1)^2 - delta) = 2 mu / outer without cancellation
-            outer = math.sqrt((mu - 1.0) ** 2 + delta)
-            points.append(params.p / outer)
-            points.append(params.p * outer / (2.0 * mu))
-        return sorted(points)
+        return sorted(_stationary_frequencies("I", params.p, mu))
     if params.version == "II":
-        return [params.q / math.sqrt(2.0)]
+        return _stationary_frequencies("II", params.q, mu)
     if params.version == "III":
         return [math.sqrt(params.p * params.q / 2.0)]
     return []

@@ -34,11 +34,13 @@ from .frequency import (
     FrequencyBand,
     TransmissionParams,
     _rho_sq,
-    max_rho_over_band,
+    _rho_sq_factor,
+    _stationary_frequencies,
     rho,
 )
 
 __all__ = [
+    "VERSIONS",
     "OptimizationError",
     "CaseDataError",
     "VersionICaseData",
@@ -475,6 +477,7 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
 
 
 _OPTIMIZERS = {"I": optimize_v1, "II": optimize_v2, "III": optimize_v3}
+VERSIONS = tuple(_OPTIMIZERS)
 
 
 def optimize(version: str, band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
@@ -506,30 +509,46 @@ def brute_force_minmax(
     minimizes the band maximum of rho.  Serves as an independent check of
     the analytic optimizers; the analytic min-max value can never exceed
     the value at any grid point.
+
+    The band maximum of a candidate is taken over the geometric frequency
+    grid plus its interior stationary frequencies inside the band, as
+    ``max_rho_over_band`` does.  Versions I and II evaluate rho**2 for all
+    candidates in one array, padding the stationary-frequency slots that
+    fall outside the band with wt1, which the grid already holds.  For
+    Version III, rho**2 = (N1*N2)/(D1*D2), where N1, D1 depend only on
+    (p, wt) and N2, D2 only on (q, wt), so the four factors are computed
+    once on parameter grid x frequency grid and each p combines its row
+    with the q rows allowed by q >= p (a slice, as the q grid ascends).
+    Every element is the same floating-point expression as the direct
+    ``_rho_sq`` form, and max, square root and first-index argmin select
+    the same candidate, so the result is bit for bit the one of the direct
+    per-candidate scan.  Memory stays O(param_grid_size * freq_grid_size):
+    the parameter x parameter x frequency cube is never built.
     """
     if param_grid_size < 16 or freq_grid_size < 16:
         raise ValueError("grid sizes must be >= 16")
     norm = diff.normalized()
     swapped = norm is not diff
     mu = norm.mu
+    freqs = band.geometric_grid(freq_grid_size)
 
     if version in ("I", "II"):
         if version == "I":
-            lo, hi = restriction_interval_v1(band, mu)
-            make = lambda v: TransmissionParams.version1(v, diff)
+            grid = _grid(*restriction_interval_v1(band, mu), param_grid_size)
+            sigma1 = sigma2 = math.sqrt(norm.nu2) * grid
+            make = TransmissionParams.version1
         else:
-            lo = math.sqrt(2.0) * band.wt1
-            hi = math.sqrt(2.0) * band.wt2
-            make = lambda v: TransmissionParams.version2(v, diff)
-        best_params = None
-        best_val = math.inf
-        for v in _grid(lo, hi, param_grid_size):
-            candidate = make(float(v))
-            _, val = max_rho_over_band(candidate, diff, band, freq_grid_size)
-            if val < best_val:
-                best_val = val
-                best_params = candidate
-        return best_params, best_val
+            grid = _grid(math.sqrt(2.0) * band.wt1, math.sqrt(2.0) * band.wt2, param_grid_size)
+            sigma1 = math.sqrt(diff.nu2) * grid
+            sigma2 = math.sqrt(diff.nu1) * grid
+            make = TransmissionParams.version2
+        crits = np.column_stack(_stationary_frequencies(version, grid, mu))
+        crits[~((band.wt1 < crits) & (crits < band.wt2))] = band.wt1
+        wts = np.concatenate([np.broadcast_to(freqs, (grid.size, freqs.size)), crits], axis=1)
+        vals = _rho_sq(wts, sigma1[:, None], sigma2[:, None], diff.nu1, diff.nu2)
+        maxima = np.sqrt(vals.max(axis=1))
+        j = int(np.argmin(maxima))
+        return make(float(grid[j]), diff), float(maxima[j])
 
     if version != "III":
         raise ValueError(f"unknown version {version!r}")
@@ -537,22 +556,24 @@ def brute_force_minmax(
     (p_lo, p_hi), (q_lo, q_hi) = restriction_intervals_v3(band, mu)
     p_grid = _grid(p_lo, p_hi, param_grid_size)
     q_grid = _grid(q_lo, q_hi, param_grid_size)
-    freqs = band.geometric_grid(freq_grid_size)
-    s_big = math.sqrt(norm.nu1)
-    s_small = math.sqrt(norm.nu2)
-    n_f = freqs.size
-    wts = np.empty((q_grid.size, n_f + 1))
-    wts[:, :n_f] = freqs
+    sigma1 = math.sqrt(norm.nu2) * p_grid
+    sigma2 = math.sqrt(norm.nu1) * q_grid
+    num1, den1 = _rho_sq_factor(freqs, sigma1[:, None], norm.nu1, norm.nu2)
+    num2, den2 = _rho_sq_factor(freqs, sigma2[:, None], norm.nu2, norm.nu1)
     best = (math.inf, p_grid[0], q_grid[0])
-    for p_v in p_grid:
+    # The q grid ascends, so q_grid[k:] are the rows with q >= p.
+    for i, k in enumerate(np.searchsorted(q_grid, p_grid)):
+        if k == q_grid.size:
+            continue
+        p_v, q_v = p_grid[i], q_grid[k:]
+        band_max = ((num1[i] * num2[k:]) / (den1[i] * den2[k:])).max(axis=1)
         # Interior stationary frequency sqrt(p*q/2) per q, clipped to the band.
-        wts[:, n_f] = np.clip(np.sqrt(p_v * q_grid / 2.0), band.wt1, band.wt2)
-        vals = _rho_sq(wts, s_small * p_v, (s_big * q_grid)[:, None], norm.nu1, norm.nu2)
-        maxima = np.sqrt(vals.max(axis=1))
-        maxima[q_grid < p_v] = np.inf  # keep the orientation p <= q
+        w_c = np.clip(np.sqrt(p_v * q_v / 2.0), band.wt1, band.wt2)
+        interior = _rho_sq(w_c, sigma1[i], sigma2[k:], norm.nu1, norm.nu2)
+        maxima = np.sqrt(np.maximum(band_max, interior))
         j = int(np.argmin(maxima))
         if maxima[j] < best[0]:
-            best = (float(maxima[j]), float(p_v), float(q_grid[j]))
+            best = (float(maxima[j]), float(p_v), float(q_v[j]))
     val, p_best, q_best = best
     if swapped:
         p_best, q_best = q_best, p_best

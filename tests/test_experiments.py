@@ -1,12 +1,13 @@
 """Configuration parsing, CSV artifacts, and the command-line surface."""
 
+import argparse
 import math
 import os
 
 import numpy as np
 import pytest
 
-from oswr.cli import main
+from oswr.cli import build_parser, main
 from oswr.experiments import (
     ConfigError,
     ExperimentConfig,
@@ -19,6 +20,8 @@ from oswr.experiments import (
     run_tps_three_layer,
     run_v3_root_scan,
 )
+from oswr.optimize import VERSIONS
+from oswr.schwarz import INIT_MODES, SWEEP_MODES
 
 
 def _write(tmp_path, name, text):
@@ -78,6 +81,28 @@ def test_config_validate_layer_counts():
     cfg = ExperimentConfig(scenario="custom", nu_layers=(1.0, 2.0), interfaces=(0.2, 0.4))
     with pytest.raises(ConfigError, match="nu_layers"):
         cfg.validate()
+
+
+def test_allowed_choices_come_from_the_library():
+    assert VERSIONS == ("I", "II", "III")
+    (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    for command, parser in commands.choices.items():
+        choices = {a.dest: a.choices for a in parser._actions}
+        assert tuple(choices["init"]) == INIT_MODES, command
+        assert tuple(choices["sweep"]) == SWEEP_MODES, command
+    for init in INIT_MODES:
+        ExperimentConfig(init=init).validate()
+    for sweep in SWEEP_MODES:
+        ExperimentConfig(sweep=sweep).validate()
+    ExperimentConfig(versions=VERSIONS).validate()
+    for bad, message in (
+        ({"init": "ones"}, "init must be zero, from_initial or exact, got 'ones'"),
+        ({"sweep": "sor"}, "sweep must be gauss_seidel or jacobi, got 'sor'"),
+        ({"versions": ()}, "versions must be a nonempty subset of I,II,III, got ()"),
+    ):
+        with pytest.raises(ConfigError) as err:
+            ExperimentConfig(**bad).validate()
+        assert str(err.value) == message
 
 
 # -------------------------------------------------------------- CSV writing
