@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -53,17 +54,7 @@ class ScenarioError(RuntimeError):
     """A scenario could not produce its contracted result."""
 
 
-SCENARIOS = (
-    "ratio_sweep",
-    "dt_sweep",
-    "dx_sweep",
-    "rho_curves",
-    "v3_root_scan",
-    "tps_three_layer",
-    "custom",
-)
-
-_DEFAULT_RATIOS = {
+DEFAULT_RATIOS = {
     "ratio_sweep": (10.0, 100.0, 1000.0, 10000.0),
     "dt_sweep": (10.0, 1000.0),
     "dx_sweep": (10.0, 1000.0),
@@ -106,8 +97,6 @@ class ExperimentConfig:
     init: str = "zero"
     sweep: str = "gauss_seidel"
     out_dir: str | None = None
-    param_grid_size: int = 512
-    freq_grid_size: int = 128
     rho_points: int = 512
     scan_points: int = 1000
     mu: float = math.sqrt(10.0)
@@ -139,6 +128,8 @@ class ExperimentConfig:
                 positive("ratios", v)
         for v in self.nu_layers:
             positive("nu_layers", v)
+        if not self.interfaces:
+            raise ConfigError("interfaces must not be empty")
         if list(self.interfaces) != sorted(set(self.interfaces)):
             raise ConfigError("interfaces must be strictly increasing")
         for v in self.interfaces:
@@ -155,8 +146,6 @@ class ExperimentConfig:
             raise ConfigError(f"init must be {_one_of(INIT_MODES)}, got {self.init!r}")
         if self.sweep not in SWEEP_MODES:
             raise ConfigError(f"sweep must be {_one_of(SWEEP_MODES)}, got {self.sweep!r}")
-        if self.param_grid_size < 16 or self.freq_grid_size < 16:
-            raise ConfigError("param_grid_size and freq_grid_size must be >= 16")
         if self.scenario == "rho_curves" and self.rho_points < 500:
             raise ConfigError("rho_points must be >= 500 for rho_curves")
         if self.scenario == "v3_root_scan" and self.scan_points < 500:
@@ -170,51 +159,72 @@ class ExperimentConfig:
     def effective_ratios(self) -> tuple[float, ...]:
         if self.ratios is not None:
             return self.ratios
-        return _DEFAULT_RATIOS.get(self.scenario, (10.0,))
+        return DEFAULT_RATIOS.get(self.scenario, (10.0,))
 
 
-_FLOAT_KEYS = {
-    "T": "final_time",
-    "dx": "dx",
-    "dt": "dt",
-    "nu1": "nu1",
-    "u0": "initial_value",
-    "g_left": "bc_left",
-    "g_right": "bc_right",
-    "tolerance": "tolerance",
-    "mu": "mu",
-}
-_INT_KEYS = {
-    "max_iter": "max_iter",
-    "param_grid_size": "param_grid_size",
-    "freq_grid_size": "freq_grid_size",
-    "rho_points": "rho_points",
-    "scan_points": "scan_points",
-}
-_LIST_KEYS = {
-    "dts": "dt_list",
-    "dxs": "dx_list",
-    "ratios": "ratios",
-    "nu_layers": "nu_layers",
-    "interfaces": "interfaces",
-}
-_STR_KEYS = {
-    "scenario": "scenario",
-    "init": "init",
-    "sweep": "sweep",
-    "out_dir": "out_dir",
-}
+class ConfigKey(NamedTuple):
+    """One configuration key: its ``ExperimentConfig`` field, kind and help.
 
-CONFIG_KEYS = sorted(
-    list(_FLOAT_KEYS) + list(_INT_KEYS) + list(_LIST_KEYS) + list(_STR_KEYS) + ["versions"]
+    ``kind`` is ``float``, ``int``, ``str``, ``floats`` or ``strs``; the
+    last two are comma-separated lists, and an empty one is ``()``.
+    """
+
+    name: str
+    field: str
+    kind: str
+    help: str
+
+    def parse(self, raw: str):
+        """The value of ``raw`` for this key; ConfigError if it has the wrong kind."""
+        if self.kind == "str":
+            return raw
+        if self.kind == "int":
+            try:
+                return int(raw)
+            except ValueError:
+                raise ConfigError(f"{self.name} expects an integer, got {raw!r}") from None
+        if self.kind == "float":
+            return self._number(raw)
+        items = [s.strip() for s in raw.split(",") if s.strip()]
+        if self.kind == "strs":
+            return tuple(items)
+        return tuple(self._number(s) for s in items)
+
+    def _number(self, raw: str) -> float:
+        try:
+            return float(raw)
+        except ValueError:
+            raise ConfigError(f"{self.name} expects a number, got {raw!r}") from None
+
+
+# Every configuration key, declared once.  The config-file parser, the
+# command-line flags (``--`` + key with ``_`` as ``-``; ``scenario`` is
+# file-only) and the ``--help`` listing all read this table.
+CONFIG_KEYS = (
+    ConfigKey("scenario", "scenario", "str", "scenario to run (config files only)"),
+    ConfigKey("out_dir", "out_dir", "str", "directory for CSV artifacts (required to write)"),
+    ConfigKey("T", "final_time", "float", "final time"),
+    ConfigKey("dx", "dx", "float", "mesh size"),
+    ConfigKey("dt", "dt", "float", "time step"),
+    ConfigKey("dts", "dt_list", "floats", "comma-separated time-step list"),
+    ConfigKey("dxs", "dx_list", "floats", "comma-separated mesh-size list"),
+    ConfigKey("ratios", "ratios", "floats", "comma-separated diffusion-ratio list"),
+    ConfigKey("versions", "versions", "strs", f"comma-separated subset of {','.join(VERSIONS)}"),
+    ConfigKey("nu1", "nu1", "float", "left diffusion coefficient"),
+    ConfigKey("nu_layers", "nu_layers", "floats", "comma-separated layer coefficients"),
+    ConfigKey("interfaces", "interfaces", "floats", "comma-separated interface coordinates"),
+    ConfigKey("u0", "initial_value", "float", "constant initial value"),
+    ConfigKey("g_left", "bc_left", "float", "left Dirichlet value"),
+    ConfigKey("g_right", "bc_right", "float", "right Dirichlet value"),
+    ConfigKey("tolerance", "tolerance", "float", "iteration tolerance"),
+    ConfigKey("max_iter", "max_iter", "int", "iteration cap"),
+    ConfigKey("init", "init", "str", "first transmission data"),
+    ConfigKey("sweep", "sweep", "str", "update order"),
+    ConfigKey("rho_points", "rho_points", "int", "curve resolution"),
+    ConfigKey("scan_points", "scan_points", "int", "root-scan resolution"),
+    ConfigKey("mu", "mu", "float", "diffusion jump sqrt(nu1/nu2) for the root scan"),
 )
-
-
-def _parse_float(key: str, raw: str, lineno: int) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: {key} expects a number, got {raw!r}") from None
+_KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 
 
 def parse_config(path: str) -> ExperimentConfig:
@@ -227,26 +237,14 @@ def parse_config(path: str) -> ExperimentConfig:
                 continue
             if "=" not in text:
                 raise ConfigError(f"line {lineno}: expected key=value, got {text!r}")
-            key, raw = (part.strip() for part in text.split("=", 1))
-            if key in _FLOAT_KEYS:
-                setattr(cfg, _FLOAT_KEYS[key], _parse_float(key, raw, lineno))
-            elif key in _INT_KEYS:
-                try:
-                    setattr(cfg, _INT_KEYS[key], int(raw))
-                except ValueError:
-                    raise ConfigError(
-                        f"line {lineno}: {key} expects an integer, got {raw!r}"
-                    ) from None
-            elif key in _LIST_KEYS:
-                items = [s.strip() for s in raw.split(",") if s.strip()]
-                values = tuple(_parse_float(key, s, lineno) for s in items)
-                setattr(cfg, _LIST_KEYS[key], values if values else None)
-            elif key == "versions":
-                setattr(cfg, "versions", tuple(s.strip() for s in raw.split(",") if s.strip()))
-            elif key in _STR_KEYS:
-                setattr(cfg, _STR_KEYS[key], raw)
-            else:
-                raise ConfigError(f"line {lineno}: unknown key {key!r}")
+            name, raw = (part.strip() for part in text.split("=", 1))
+            key = _KEYS_BY_NAME.get(name)
+            if key is None:
+                raise ConfigError(f"line {lineno}: unknown key {name!r}")
+            try:
+                setattr(cfg, key.field, key.parse(raw))
+            except ConfigError as exc:
+                raise ConfigError(f"line {lineno}: {exc}") from None
     try:
         cfg.validate()
     except ConfigError as exc:
@@ -662,6 +660,7 @@ _RUNNERS = {
     "tps_three_layer": run_tps_three_layer,
     "custom": run_custom,
 }
+SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ExperimentConfig) -> list[str]:

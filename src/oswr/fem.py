@@ -157,8 +157,11 @@ class HeatProblem:
     ``source`` is f(x, t) taking a node array and a time (or None for zero);
     ``initial`` is u0(x) or a constant; the boundary values are constants or
     functions of time.  The time step must divide the final time.
-    ``lumped_mass`` switches to the row-sum lumped mass matrix, kept only
-    for experimentation; the consistent matrix is the default.
+    ``lumped_mass`` switches to the row-sum lumped mass matrix, which keeps
+    the solution within the bounds of its data at large diffusion jumps:
+    with the consistent matrix (the default, used for Table 1) a solution
+    starting at 20 with zero boundary values reaches 25.14 at ratio 1e4
+    (T = 1, dt = h = 1/40), where the lumped one stays in [0, 20].
     """
 
     diffusion: DiffusionProfile
@@ -371,35 +374,13 @@ def solve_monolithic(problem: HeatProblem, mesh: Mesh1D) -> SpaceTimeField:
     """Backward Euler solve with Dirichlet values at both ends.
 
     Each step solves (M + dt*K) u = M u_old + dt * load with the two
-    boundary rows replaced by the Dirichlet identities.
+    boundary rows replaced by the Dirichlet identities: the stepper of
+    ``solve_subdomain_robin`` with Dirichlet data at both ends.
     """
     for bp in problem.diffusion.breakpoints:
         if not (mesh.a < bp < mesh.b):
             raise ValueError(f"diffusion breakpoint {bp} outside the domain interior")
-    mass, stiffness = assemble_operators(mesh, problem.diffusion, problem.lumped_mass)
-    dt = problem.time_step
-    A = _system_matrix(mass, stiffness, dt)
-    _apply_dirichlet_row(A, "left")
-    _apply_dirichlet_row(A, "right")
-    solver = TridiagonalSolver(A)
-    g_left = _as_time_function(problem.bc_left)
-    g_right = _as_time_function(problem.bc_right)
-
-    n_steps = problem.n_steps
-    u = problem.initial_values(mesh)
-    values = np.empty((n_steps + 1, mesh.n_nodes))
-    values[0] = u
-    for k in range(1, n_steps + 1):
-        t = k * dt
-        rhs = mass.matvec(u)
-        f = problem.source_nodal(mesh, t)
-        if f is not None:
-            rhs += dt * mass.matvec(f)
-        rhs[0] = g_left(t)
-        rhs[-1] = g_right(t)
-        u = solver.solve(rhs)
-        values[k] = u
-    return SpaceTimeField(mesh, dt, values)
+    return solve_subdomain_robin(problem, mesh, problem.bc_left, problem.bc_right)[0]
 
 
 def solve_subdomain_robin(
@@ -423,8 +404,8 @@ def solve_subdomain_robin(
     A = _system_matrix(mass, stiffness, dt)
 
     ends = {"left": left, "right": right}
-    dirichlet: dict[str, Callable[[float], float]] = {}
-    robin: dict[str, RobinBoundaryData] = {}
+    robin_rows: list[tuple[int, np.ndarray]] = []
+    dirichlet_rows: list[tuple[int, Callable[[float], float]]] = []
     for side, data in ends.items():
         idx = 0 if side == "left" else -1
         if isinstance(data, RobinBoundaryData):
@@ -434,10 +415,10 @@ def solve_subdomain_robin(
                 raise ValueError(
                     f"Robin series has {data.values.size} entries, need {n_steps}"
                 )
-            robin[side] = data
+            robin_rows.append((idx, data.values))
             A.diag[idx] += dt * data.sigma
         else:
-            dirichlet[side] = _as_time_function(data)
+            dirichlet_rows.append((idx, _as_time_function(data)))
             _apply_dirichlet_row(A, side)
 
     solver = TridiagonalSolver(A)
@@ -450,11 +431,9 @@ def solve_subdomain_robin(
         f = problem.source_nodal(mesh, t)
         if f is not None:
             rhs += dt * mass.matvec(f)
-        for side, data in robin.items():
-            idx = 0 if side == "left" else -1
-            rhs[idx] += dt * data.values[k - 1]
-        for side, g in dirichlet.items():
-            idx = 0 if side == "left" else -1
+        for idx, g_robin in robin_rows:
+            rhs[idx] += dt * g_robin[k - 1]
+        for idx, g in dirichlet_rows:
             rhs[idx] = g(t)
         u = solver.solve(rhs)
         values[k] = u
@@ -464,7 +443,8 @@ def solve_subdomain_robin(
         side: variational_flux(
             field, mesh, problem.diffusion, side, problem.source, problem.lumped_mass
         )
-        for side in robin
+        for side, data in ends.items()
+        if isinstance(data, RobinBoundaryData)
     }
     return field, fluxes
 

@@ -9,6 +9,7 @@ import pytest
 
 from oswr.cli import build_parser, main
 from oswr.experiments import (
+    CONFIG_KEYS,
     ConfigError,
     ExperimentConfig,
     ScenarioError,
@@ -430,3 +431,86 @@ def test_cli_out_dir_from_config_file(tmp_path):
     )
     assert main(["run", config]) == 0
     assert (out / "ratio_sweep.csv").exists()
+
+
+def _config_seen_by_run(monkeypatch, argv):
+    """The configuration ``main`` would run, without running it."""
+    seen = []
+
+    def capture(cfg):
+        seen.append(cfg)
+        return []
+
+    monkeypatch.setattr("oswr.cli.run_scenario", capture)
+    assert main(argv) == 0
+    (cfg,) = seen
+    return cfg
+
+
+_SAMPLE_TEXT = {"float": "0.125", "int": "700", "floats": "0.25,0.5", "strs": "II,I"}
+_SAMPLE_TEXT_BY_KEY = {"init": "exact", "sweep": "jacobi"}
+
+
+@pytest.mark.parametrize("key", [k for k in CONFIG_KEYS if k.name != "scenario"], ids=str)
+def test_flag_and_file_agree(tmp_path, monkeypatch, key):
+    out = str(tmp_path / "out")
+    text = out if key.name == "out_dir" else _SAMPLE_TEXT_BY_KEY.get(
+        key.name, _SAMPLE_TEXT.get(key.kind)
+    )
+    out_args = [] if key.name == "out_dir" else ["--out-dir", out]
+    config = _write(tmp_path, "c.txt", f"{key.name}={text}\n")
+    from_file = _config_seen_by_run(monkeypatch, ["run", config, *out_args])
+    flag = "--" + key.name.replace("_", "-")
+    from_flag = _config_seen_by_run(monkeypatch, ["ratio-sweep", flag, text, *out_args])
+    assert from_file == from_flag
+    assert getattr(from_flag, key.field) != getattr(ExperimentConfig(), key.field)
+
+
+def _config_text(value):
+    if isinstance(value, tuple):
+        return ",".join(_config_text(v) for v in value)
+    return str(value)
+
+
+def test_help_lists_every_key_with_its_default():
+    lines = build_parser().format_help().splitlines()
+    defaults = ExperimentConfig()
+    for key in CONFIG_KEYS:
+        value = getattr(defaults, key.field)
+        if value is None:
+            assert any(line.split()[:1] == [key.name] for line in lines), key.name
+        else:
+            entry = f"{key.name}={_config_text(value)}"
+            assert any(line.split()[:1] == [entry] for line in lines), entry
+            assert key.parse(_config_text(value)) == value
+    assert len(CONFIG_KEYS) == 22
+
+
+@pytest.mark.parametrize(
+    "lines, flags, message",
+    [
+        ("ratios=\n", [], "ratios must not be empty"),
+        ("interfaces=\n", [], "interfaces must not be empty"),
+        ("scenario=custom\nnu_layers=\n", [], "nu_layers must have exactly one more entry"),
+        ("", ["--ratios", ""], "ratios must not be empty"),
+        ("", ["--interfaces", ""], "interfaces must not be empty"),
+        ("", ["--dt", "fast"], "dt expects a number, got 'fast'"),
+        ("", ["--max-iter", "1e3"], "max_iter expects an integer, got '1e3'"),
+        ("", ["--ratios", "10,x"], "ratios expects a number, got 'x'"),
+        ("param_grid_size=512\n", [], "line 1: unknown key 'param_grid_size'"),
+    ],
+)
+def test_empty_or_malformed_values_are_config_errors(tmp_path, capsys, lines, flags, message):
+    config = _write(tmp_path, "c.txt", lines)
+    assert main(["run", config, "--out-dir", str(tmp_path / "out"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("flag", ["--param-grid-size", "--freq-grid-size", "--scenario"])
+def test_unknown_flags_are_usage_errors(tmp_path, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(["ratio-sweep", "--out-dir", str(tmp_path), flag, "512"])
+    assert exc.value.code == 2
