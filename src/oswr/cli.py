@@ -17,6 +17,7 @@ from .experiments import (
     ExperimentConfig,
     ScenarioError,
     parse_config,
+    reject_unread_keys,
     run_scenario,
     tps_defaults,
 )
@@ -97,11 +98,14 @@ def main(argv=None) -> int:
             cfg = ExperimentConfig(scenario=_SCENARIO_COMMANDS[args.command])
             if args.command == "tps":
                 cfg = tps_defaults(cfg)
+        flags = []
         for key in CONFIG_KEYS:
             raw = getattr(args, key.name, None)
             if raw is not None:
                 setattr(cfg, key.field, key.parse(raw))
+                flags.append(key.name)
         cfg.validate()
+        reject_unread_keys(cfg.scenario, flags)
         if not cfg.out_dir:
             raise ConfigError("out_dir is required (use --out-dir)")
     except (OSError, ConfigError) as exc:

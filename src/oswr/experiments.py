@@ -12,11 +12,11 @@ from __future__ import annotations
 import math
 import os
 from dataclasses import dataclass, replace
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .fem import DiffusionProfile, HeatProblem, Mesh1D, solve_monolithic
+from .fem import DiffusionProfile, HeatProblem, Mesh1D, SpaceTimeField, solve_monolithic
 from .frequency import DiffusionPair, frequency_band_from_grid, rho
 from .optimize import VERSIONS, OptimizationError, optimize, optimize_v3, v3_equation_sides
 from .schwarz import (
@@ -167,12 +167,15 @@ class ConfigKey(NamedTuple):
 
     ``kind`` is ``float``, ``int``, ``str``, ``floats`` or ``strs``; the
     last two are comma-separated lists, and an empty one is ``()``.
+    ``read_by`` names the scenarios whose results depend on the key; set
+    explicitly for any other scenario, it is a configuration error.
     """
 
     name: str
     field: str
     kind: str
     help: str
+    read_by: tuple[str, ...]
 
     def parse(self, raw: str):
         """The value of ``raw`` for this key; ConfigError if it has the wrong kind."""
@@ -197,39 +200,65 @@ class ConfigKey(NamedTuple):
             raise ConfigError(f"{self.name} expects a number, got {raw!r}") from None
 
 
+# Groups of scenarios, for the ``read_by`` column below.
+_SWEEPS = ("ratio_sweep", "dt_sweep", "dx_sweep")
+_LAYERED = ("custom", "tps_three_layer")
+_WR = _SWEEPS + _LAYERED  # the scenarios that run the waveform relaxation
+_ALL = _WR + ("rho_curves", "v3_root_scan")
+
 # Every configuration key, declared once.  The config-file parser, the
 # command-line flags (``--`` + key with ``_`` as ``-``; ``scenario`` is
 # file-only) and the ``--help`` listing all read this table.
 CONFIG_KEYS = (
-    ConfigKey("scenario", "scenario", "str", "scenario to run (config files only)"),
-    ConfigKey("out_dir", "out_dir", "str", "directory for CSV artifacts (required to write)"),
-    ConfigKey("T", "final_time", "float", "final time"),
-    ConfigKey("dx", "dx", "float", "mesh size"),
-    ConfigKey("dt", "dt", "float", "time step"),
-    ConfigKey("dts", "dt_list", "floats", "comma-separated time-step list"),
-    ConfigKey("dxs", "dx_list", "floats", "comma-separated mesh-size list"),
-    ConfigKey("ratios", "ratios", "floats", "comma-separated diffusion-ratio list"),
-    ConfigKey("versions", "versions", "strs", f"comma-separated subset of {','.join(VERSIONS)}"),
-    ConfigKey("nu1", "nu1", "float", "left diffusion coefficient"),
-    ConfigKey("nu_layers", "nu_layers", "floats", "comma-separated layer coefficients"),
-    ConfigKey("interfaces", "interfaces", "floats", "comma-separated interface coordinates"),
-    ConfigKey("u0", "initial_value", "float", "constant initial value"),
-    ConfigKey("g_left", "bc_left", "float", "left Dirichlet value"),
-    ConfigKey("g_right", "bc_right", "float", "right Dirichlet value"),
-    ConfigKey("tolerance", "tolerance", "float", "iteration tolerance"),
-    ConfigKey("max_iter", "max_iter", "int", "iteration cap"),
-    ConfigKey("init", "init", "str", "first transmission data"),
-    ConfigKey("sweep", "sweep", "str", "update order"),
-    ConfigKey("rho_points", "rho_points", "int", "curve resolution"),
-    ConfigKey("scan_points", "scan_points", "int", "root-scan resolution"),
-    ConfigKey("mu", "mu", "float", "diffusion jump sqrt(nu1/nu2) for the root scan"),
+    ConfigKey("scenario", "scenario", "str", "scenario to run (config files only)", _ALL),
+    ConfigKey("out_dir", "out_dir", "str", "directory for CSV artifacts (required to write)", _ALL),
+    ConfigKey("T", "final_time", "float", "final time", _ALL),
+    ConfigKey("dx", "dx", "float", "mesh size", ("ratio_sweep", "dt_sweep") + _LAYERED),
+    ConfigKey(
+        "dt", "dt", "float", "time step",
+        ("ratio_sweep", "dx_sweep") + _LAYERED + ("rho_curves", "v3_root_scan"),
+    ),
+    ConfigKey("dts", "dt_list", "floats", "comma-separated time-step list", ("dt_sweep",)),
+    ConfigKey("dxs", "dx_list", "floats", "comma-separated mesh-size list", ("dx_sweep",)),
+    ConfigKey(
+        "ratios", "ratios", "floats", "comma-separated diffusion-ratio list",
+        _SWEEPS + ("rho_curves",),
+    ),
+    ConfigKey(
+        "versions", "versions", "strs", f"comma-separated subset of {','.join(VERSIONS)}",
+        _WR + ("rho_curves",),
+    ),
+    ConfigKey("nu1", "nu1", "float", "left diffusion coefficient", _SWEEPS + ("rho_curves",)),
+    ConfigKey("nu_layers", "nu_layers", "floats", "comma-separated layer coefficients", _LAYERED),
+    ConfigKey("interfaces", "interfaces", "floats", "comma-separated interface coordinates", _WR),
+    ConfigKey("u0", "initial_value", "float", "constant initial value", _WR),
+    ConfigKey("g_left", "bc_left", "float", "left Dirichlet value", _WR),
+    ConfigKey("g_right", "bc_right", "float", "right Dirichlet value", _WR),
+    ConfigKey("tolerance", "tolerance", "float", "iteration tolerance", _WR),
+    ConfigKey("max_iter", "max_iter", "int", "iteration cap", _WR),
+    ConfigKey("init", "init", "str", "first transmission data", _WR),
+    ConfigKey("sweep", "sweep", "str", "update order", _WR),
+    ConfigKey("rho_points", "rho_points", "int", "curve resolution", ("rho_curves",)),
+    ConfigKey("scan_points", "scan_points", "int", "root-scan resolution", ("v3_root_scan",)),
+    ConfigKey(
+        "mu", "mu", "float", "diffusion jump sqrt(nu1/nu2) for the root scan",
+        ("v3_root_scan",),
+    ),
 )
 _KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
+
+
+def reject_unread_keys(scenario: str, names) -> None:
+    """ConfigError naming every key in ``names`` that ``scenario`` does not read."""
+    unread = [name for name in names if scenario not in _KEYS_BY_NAME[name].read_by]
+    if unread:
+        raise ConfigError(f"scenario {scenario} does not read {', '.join(unread)}")
 
 
 def parse_config(path: str) -> ExperimentConfig:
     """Parse a key=value configuration file and validate it."""
     cfg = ExperimentConfig()
+    names = {}  # the keys set in the file, in order
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             text = line.split("#", 1)[0].strip()
@@ -245,8 +274,10 @@ def parse_config(path: str) -> ExperimentConfig:
                 setattr(cfg, key.field, key.parse(raw))
             except ConfigError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
+            names[name] = None
     try:
         cfg.validate()
+        reject_unread_keys(cfg.scenario, names)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
     return cfg
@@ -329,21 +360,18 @@ class _CaseResult:
 def _run_layered_case(
     cfg: ExperimentConfig,
     version: str,
-    layers: tuple[float, ...],
-    interfaces: tuple[float, ...],
-    dx: float,
-    dt: float,
+    deco: Decomposition,
+    problem: HeatProblem,
+    reference: SpaceTimeField,
 ) -> _CaseResult:
-    """One (version, geometry, grid) waveform-relaxation run.
+    """One version's waveform-relaxation run on a solved problem.
 
-    A case that does not fit its grid, diverges or defeats the optimizer is
-    recorded in ``error``; any other exception is a bug and propagates.
+    A case that diverges or defeats the optimizer is recorded in
+    ``error``; any other exception is a bug and propagates.
     """
     out = _CaseResult()
     try:
-        mesh, deco, problem = _case_setup(cfg, layers, interfaces, dx, dt)
-        reference = solve_monolithic(problem, mesh)
-        band = frequency_band_from_grid(cfg.final_time, dt)
+        band = frequency_band_from_grid(cfg.final_time, problem.time_step)
         pairs = interface_diffusion_pairs(problem, deco)
         results = [optimize(version, band, pair) for pair in pairs]
         out.params = results[0].params
@@ -365,9 +393,33 @@ def _run_layered_case(
             out.iterations = history.iterations_to_tolerance
         else:
             out.error = f"did not converge within {cfg.max_iter} iterations"
-    except (ConfigError, IterationDiverged, OptimizationError) as exc:
+    except (IterationDiverged, OptimizationError) as exc:
         out.error = str(exc)
     return out
+
+
+def _run_versions(
+    cfg: ExperimentConfig,
+    layers: tuple[float, ...],
+    interfaces: tuple[float, ...],
+    dx: float,
+    dt: float,
+) -> Iterator[tuple[str, _CaseResult]]:
+    """(version, case) for every configured version on one (geometry, grid), in order.
+
+    The monolithic reference is solved once and shared by the versions;
+    it lives only while the cases are generated.  A grid that does not fit
+    gives every version its ``ConfigError`` text.
+    """
+    try:
+        mesh, deco, problem = _case_setup(cfg, layers, interfaces, dx, dt)
+    except ConfigError as exc:
+        for version in cfg.versions:
+            yield version, _CaseResult(error=str(exc))
+        return
+    reference = solve_monolithic(problem, mesh)
+    for version in cfg.versions:
+        yield version, _run_layered_case(cfg, version, deco, problem, reference)
 
 
 def _two_domain_layers(cfg: ExperimentConfig, ratio: float) -> tuple[float, ...]:
@@ -390,10 +442,8 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> list[str]:
     ]
     rows = []
     for ratio in cfg.effective_ratios():
-        for version in cfg.versions:
-            case = _run_layered_case(
-                cfg, version, _two_domain_layers(cfg, ratio), cfg.interfaces, cfg.dx, cfg.dt
-            )
+        layers = _two_domain_layers(cfg, ratio)
+        for version, case in _run_versions(cfg, layers, cfg.interfaces, cfg.dx, cfg.dt):
             p = case.params
             rows.append(
                 [
@@ -418,21 +468,26 @@ def _run_grid_sweep(cfg: ExperimentConfig, kind: str) -> list[str]:
     rows = []
     paths = []
     for ratio in cfg.effective_ratios():
-        for version in cfg.versions:
-            for value in values:
-                dx = cfg.dx if kind == "dt" else value
-                dt = value if kind == "dt" else cfg.dt
-                case = _run_layered_case(
-                    cfg, version, _two_domain_layers(cfg, ratio), cfg.interfaces, dx, dt
-                )
-                rows.append(
-                    [ratio, version, value, case.iterations, case.rho_star, case.error]
-                )
-                hist_rows = [[i + 1, e] for i, e in enumerate(case.errors)]
+        layers = _two_domain_layers(cfg, ratio)
+        # Solved grid by grid, so each reference serves every version, and
+        # written version by version: by_value[i][v] is (row, history path).
+        by_value = []
+        for value in values:
+            dx = cfg.dx if kind == "dt" else value
+            dt = value if kind == "dt" else cfg.dt
+            per_version = []
+            for version, case in _run_versions(cfg, layers, cfg.interfaces, dx, dt):
+                hist_rows = [[k + 1, e] for k, e in enumerate(case.errors)]
+                row = [ratio, version, value, case.iterations, case.rho_star, case.error]
+                del case  # frees the merged field before the next version runs
                 name = f"{kind}_sweep_history_ratio{ratio:g}_v{version}_{kind}{value:g}.csv"
-                paths.append(
-                    _write_csv(_out_path(cfg, name), ["iteration", "error"], hist_rows)
-                )
+                path = _write_csv(_out_path(cfg, name), ["iteration", "error"], hist_rows)
+                per_version.append((row, path))
+            by_value.append(per_version)
+        for per_value in zip(*by_value):
+            for row, path in per_value:
+                rows.append(row)
+                paths.append(path)
     paths.insert(0, _write_csv(_out_path(cfg, f"{kind}_sweep.csv"), header, rows))
     return paths
 
@@ -584,8 +639,7 @@ def _run_layered_scenario(cfg: ExperimentConfig, prefix: str) -> list[str]:
     paths = []
     dump_field = None
     dump_version = None
-    for version in cfg.versions:
-        case = _run_layered_case(cfg, version, layers, interfaces, cfg.dx, cfg.dt)
+    for version, case in _run_versions(cfg, layers, interfaces, cfg.dx, cfg.dt):
         summary_rows.append(
             [version, case.iterations, case.final_error, case.error]
         )

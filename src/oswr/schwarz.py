@@ -10,11 +10,17 @@ sigma', receives
 
 read from the interface value of the field alone; no flux is recovered
 or stored.  A subdomain solve is affine and time-invariant in its Robin
-data, so every subdomain is stepped in time only once per case for its
-affine part and once per Robin end for the impulse response; an
-iteration then rebuilds each subdomain field by FFT convolution of its
-Robin series with those responses.  The exact discrete fixed point of
-the iteration is the monolithic solution, so the per-iteration error
+data, and the monolithic solution restricted to subdomain j is that
+solve with the exact Robin data g*.  So every subdomain field is
+
+    u_j(g) = u_ref|_j + H_j (g - g*),
+
+where H_j convolves a series with the subdomain's Robin impulse
+responses.  The only time stepping per case is one impulse-response
+solve per Robin end; the affine part comes from the monolithic
+reference, and an iteration rebuilds each subdomain field by FFT
+convolution.  The exact discrete fixed point of the iteration is the
+monolithic solution, so the per-iteration error
 
     e_k = max over subdomains, nodes and time levels of
           |monolithic - subdomain value|
@@ -159,61 +165,106 @@ def interface_diffusion_pairs(
     ]
 
 
-def _initial_robin_data(
-    init: str,
+def _exact_robin_data(
     problem: HeatProblem,
     decomposition: Decomposition,
     params: list[TransmissionParams],
     reference: SpaceTimeField,
 ) -> list[np.ndarray]:
-    """Robin series at both sides of every interface, two per interface.
+    """Exact Robin series g* at both sides of every interface, two per interface.
 
     Entry 2i goes into the right end of subdomain i (coefficient sigma1 of
     interface i), entry 2i + 1 into the left end of subdomain i + 1
-    (sigma2).  Each is sigma * u + outward flux of its subdomain, with u
-    and the flux guessed as 0 (``zero``), as u0 at the interface node and 0
-    (``from_initial``), or taken from the monolithic solution (``exact``).
+    (sigma2).  Each is sigma * u + outward flux of its subdomain, both
+    taken from the monolithic solution: the data with which a subdomain
+    solve reproduces that solution.
     """
-    n = problem.n_steps
-    u0 = problem.initial_values(decomposition.global_mesh)
     robin = []
     for i, (p, node) in enumerate(zip(params, decomposition.interface_nodes)):
-        trace, flux = np.zeros(n), np.zeros(n)
-        if init == "from_initial":
-            trace[:] = u0[node]
-        elif init == "exact":
-            trace = reference.values[1:, node]
-            lo, hi = decomposition.node_ranges[i]
-            mesh = decomposition.submeshes[i]
-            # Outward flux of the left subdomain; the right one's is its
-            # negative, as the global interface row sums the two boundary rows.
-            flux = variational_flux(
-                SpaceTimeField(mesh, problem.time_step, reference.values[:, lo:hi]),
-                mesh,
-                problem.diffusion,
-                "right",
-                problem.source,
-                problem.lumped_mass,
-            )
+        trace = reference.values[1:, node]
+        lo, hi = decomposition.node_ranges[i]
+        mesh = decomposition.submeshes[i]
+        # Outward flux of the left subdomain; the right one's is its
+        # negative, as the global interface row sums the two boundary rows.
+        flux = variational_flux(
+            SpaceTimeField(mesh, problem.time_step, reference.values[:, lo:hi]),
+            mesh,
+            problem.diffusion,
+            "right",
+            problem.source,
+            problem.lumped_mass,
+        )
         robin += [p.sigma1 * trace + flux, p.sigma2 * trace - flux]
     return robin
+
+
+def _initial_robin_data(
+    init: str,
+    problem: HeatProblem,
+    decomposition: Decomposition,
+    params: list[TransmissionParams],
+    exact: list[np.ndarray],
+) -> list[np.ndarray]:
+    """First Robin series, laid out like ``exact`` (see ``_exact_robin_data``).
+
+    Each is sigma * u + outward flux, with u and the flux guessed as 0
+    (``zero``) or as u0 at the interface node and 0 (``from_initial``);
+    ``exact`` starts from the exact data.
+    """
+    if init == "exact":
+        return list(exact)
+    u0 = problem.initial_values(decomposition.global_mesh)
+    robin = []
+    for p, node in zip(params, decomposition.interface_nodes):
+        trace = np.full(problem.n_steps, u0[node] if init == "from_initial" else 0.0)
+        robin += [p.sigma1 * trace, p.sigma2 * trace]
+    return robin
+
+
+def _at_robin_ends(j: int, n_sub: int, per_side: list) -> dict:
+    """Subdomain j's entries of a list with two per interface, by Robin end.
+
+    The list is laid out like the Robin data: entries 2j - 1 (left end)
+    and 2j (right end).
+    """
+    ends = {}
+    if j > 0:
+        ends["left"] = per_side[2 * j - 1]
+    if j < n_sub - 1:
+        ends["right"] = per_side[2 * j]
+    return ends
 
 
 class _SubdomainResponse:
     """One subdomain's field as an affine map of its Robin data.
 
     Backward Euler with a fixed system matrix is linear and time-invariant
-    in the Robin series g_R, so the solve with Robin series ``g`` at each
-    Robin end equals the solve with zero Robin data (initial value, source,
-    Dirichlet ends) plus, per Robin end, the causal convolution of ``g``
-    with the response to the unit impulse ``[1, 0, ..., 0]`` at that end.
-    Time stepping happens only here, once for the affine part and once per
-    Robin end; ``solve`` evaluates the convolutions with FFTs of length
-    2 * n_steps, which makes them exact linear (not circular) convolutions.
+    in the Robin series g_R.  So the solve with Robin series ``g`` at each
+    Robin end equals any one known solve of the same map, the *anchor*
+    with its series g_a, plus, per Robin end, the causal convolution of
+    ``g - g_a`` with the response to the unit impulse ``[1, 0, ..., 0]``
+    at that end.  ``oswr_iterate`` anchors every subdomain at the
+    monolithic reference and the exact data g*, so the affine part is
+    never stepped.  Time stepping happens only here, once per Robin end
+    for the impulse response; the convolutions are evaluated with FFTs of
+    length 2 * n_steps, which makes them exact linear (not circular)
+    convolutions.
     """
 
-    def __init__(self, problem: HeatProblem, mesh: Mesh1D, sigmas: dict[str, float]):
-        """``sigmas`` maps each Robin end to its coefficient; other ends are Dirichlet."""
+    def __init__(
+        self,
+        problem: HeatProblem,
+        mesh: Mesh1D,
+        sigmas: dict[str, float],
+        anchor: np.ndarray,
+        anchor_series: dict[str, np.ndarray],
+    ):
+        """``sigmas`` maps each Robin end to its coefficient; other ends are Dirichlet.
+
+        ``anchor`` holds levels 0..n_steps (rows) of every node (columns)
+        of the solve with the Robin series ``anchor_series``, keyed like
+        ``sigmas``.
+        """
         n = problem.n_steps
         self.sides = tuple(side for side in ("left", "right") if side in sigmas)
         self.mesh = mesh
@@ -222,28 +273,28 @@ class _SubdomainResponse:
         zero = np.zeros(n)
         impulse = np.zeros(n)
         impulse[0] = 1.0
+        quiet = replace(problem, source=None, initial=0.0, bc_left=0.0, bc_right=0.0)
 
-        def solve_with(prob: HeatProblem, hit: str | None) -> np.ndarray:
+        def impulse_response(hit: str) -> np.ndarray:
             ends = [
                 RobinBoundaryData(side, sigmas[side], impulse if side == hit else zero)
                 if side in sigmas
-                else dirichlet
-                for side, dirichlet in (("left", prob.bc_left), ("right", prob.bc_right))
+                else 0.0
+                for side in ("left", "right")
             ]
-            return solve_subdomain_robin(prob, mesh, *ends).values
+            return solve_subdomain_robin(quiet, mesh, *ends).values[1:]
 
-        # Levels 0..n_steps (rows) of every node (columns).
-        self.base = solve_with(problem, None)
-        quiet = replace(problem, source=None, initial=0.0, bc_left=0.0, bc_right=0.0)
         self.spectra = [
-            np.fft.rfft(solve_with(quiet, side)[1:].T, 2 * n) for side in self.sides
+            np.fft.rfft(impulse_response(side).T, 2 * n) for side in self.sides
         ]
+        # The field for zero Robin data: the anchor minus its data's response.
+        self.base = np.array(anchor, dtype=float)
+        self._superpose(self.base, {side: -g for side, g in anchor_series.items()})
 
-    def solve(self, series: dict[str, np.ndarray]) -> SpaceTimeField:
-        """Field for the Robin series at each Robin end."""
+    def _superpose(self, out: np.ndarray, series: dict[str, np.ndarray]) -> None:
+        """Add to levels 1..n_steps of ``out`` the response to ``series``."""
         n = self.n_steps
         g_hat = [np.fft.rfft(series[side], 2 * n) for side in self.sides]
-        out = self.base.copy()
         # A few columns at a time keep the complex temporaries small.
         for lo in range(0, out.shape[1], _FFT_BLOCK):
             cols = slice(lo, lo + _FFT_BLOCK)
@@ -251,6 +302,11 @@ class _SubdomainResponse:
             for spectrum, g in zip(self.spectra[1:], g_hat[1:]):
                 acc += spectrum[cols] * g
             out[1:, cols] += np.fft.irfft(acc, 2 * n)[:, :n].T
+
+    def solve(self, series: dict[str, np.ndarray]) -> SpaceTimeField:
+        """Field for the Robin series at each Robin end."""
+        out = self.base.copy()
+        self._superpose(out, series)
         return SpaceTimeField(self.mesh, self.time_step, out)
 
 
@@ -274,6 +330,10 @@ def oswr_iterate(
     (Gauss-Seidel); ``jacobi`` makes all subdomains use the previous
     iteration's data.
 
+    ``reference`` is the monolithic solution of ``problem`` (solved here
+    when None).  Besides being the error's yardstick, it gives every
+    subdomain field its affine part, so it must be that solution.
+
     Stops once the error against the monolithic solution drops to ``tol``.
     Raises IterationDiverged if the error exceeds 1e6 times the first
     iterate's error; returns converged=False after ``max_iter`` otherwise.
@@ -294,16 +354,22 @@ def oswr_iterate(
     if reference is None:
         reference = solve_monolithic(problem, decomposition.global_mesh)
     n_sub = decomposition.n_subdomains
-    robin = _initial_robin_data(init, problem, decomposition, params, reference)
+    exact = _exact_robin_data(problem, decomposition, params, reference)
+    robin = _initial_robin_data(init, problem, decomposition, params, exact)
     sigma_sums = [p.sigma1 + p.sigma2 for p in params]
-    responses = []
-    for j, mesh_j in enumerate(decomposition.submeshes):
-        sigmas = {}
-        if j > 0:
-            sigmas["left"] = params[j - 1].sigma2
-        if j < n_sub - 1:
-            sigmas["right"] = params[j].sigma1
-        responses.append(_SubdomainResponse(problem, mesh_j, sigmas))
+    sigmas = [s for p in params for s in (p.sigma1, p.sigma2)]
+    responses = [
+        _SubdomainResponse(
+            problem,
+            mesh_j,
+            _at_robin_ends(j, n_sub, sigmas),
+            reference.values[:, lo:hi],
+            _at_robin_ends(j, n_sub, exact),
+        )
+        for j, (mesh_j, (lo, hi)) in enumerate(
+            zip(decomposition.submeshes, decomposition.node_ranges)
+        )
+    ]
 
     errors: list[float] = []
     converged = False
@@ -315,11 +381,7 @@ def oswr_iterate(
         data = robin if sweep == "gauss_seidel" else list(robin)
         fields: list[SpaceTimeField] = []
         for j, response in enumerate(responses):
-            series = {}
-            if j > 0:
-                series["left"] = data[2 * j - 1]
-            if j < n_sub - 1:
-                series["right"] = data[2 * j]
+            series = _at_robin_ends(j, n_sub, data)
             field = response.solve(series)
             fields.append(field)
             if j > 0:

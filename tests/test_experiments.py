@@ -1,15 +1,18 @@
 """Configuration parsing, CSV artifacts, and the command-line surface."""
 
 import argparse
+import importlib.util
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from oswr.cli import build_parser, main
+from oswr.cli import _SCENARIO_COMMANDS, build_parser, main
 from oswr.experiments import (
     CONFIG_KEYS,
+    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     ScenarioError,
@@ -18,9 +21,11 @@ from oswr.experiments import (
     run_dx_sweep,
     run_ratio_sweep,
     run_rho_curves,
+    run_scenario,
     run_tps_three_layer,
     run_v3_root_scan,
 )
+from oswr.fem import solve_monolithic
 from oswr.optimize import VERSIONS
 from oswr.schwarz import INIT_MODES, SWEEP_MODES
 
@@ -327,6 +332,62 @@ def test_tps_scenario_outputs(tmp_path):
     assert final[0.99] > 40.0
 
 
+def test_one_monolithic_reference_per_problem(tmp_path, monkeypatch):
+    # Every version of a (layers, dx, dt) problem shares one reference; the
+    # rows still come out in the configured (ratio, version[, dt]) order.
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve_monolithic(*args, **kwargs)
+
+    monkeypatch.setattr("oswr.experiments.solve_monolithic", counting)
+    ratios, versions, dts = (16.0, 4.0), ("III", "I", "II"), (1.0 / 4.0, 1.0 / 8.0)
+
+    cfg = _small_cfg(tmp_path, ratios=ratios, versions=versions)
+    _, rows = _read_rows(run_ratio_sweep(cfg)[0])
+    assert len(calls) == 2
+    assert [(float(r[0]), r[1]) for r in rows] == [(r, v) for r in ratios for v in versions]
+
+    calls.clear()
+    cfg = _small_cfg(
+        tmp_path, scenario="dt_sweep", ratios=ratios, versions=versions[:2], dt_list=dts,
+        out_dir=str(tmp_path / "dt"),
+    )
+    paths = run_dt_sweep(cfg)
+    assert len(calls) == 4
+    _, rows = _read_rows(paths[0])
+    order = [(r, v, dt) for r in ratios for v in versions[:2] for dt in dts]
+    assert [(float(r[0]), r[1], float(r[2])) for r in rows] == order
+    assert [os.path.basename(p) for p in paths[1:]] == [
+        f"dt_sweep_history_ratio{r:g}_v{v}_dt{dt:g}.csv" for r, v, dt in order
+    ]
+    assert all(r[5] == "" for r in rows)
+
+    calls.clear()
+    cfg = ExperimentConfig(
+        scenario="tps_three_layer", final_time=1.0, dx=0.1, dt=1.0 / 8.0,
+        nu_layers=(1.0, 1e-2, 1e-3), interfaces=(0.2, 0.4), bc_right=50.0,
+        versions=versions, out_dir=str(tmp_path / "tps"),
+    )
+    _, rows = _read_rows(run_tps_three_layer(cfg)[0])
+    assert len(calls) == 1
+    assert [r[0] for r in rows] == list(versions)
+
+
+def test_grid_that_does_not_fit_is_an_error_on_each_of_its_rows(tmp_path):
+    cfg = _small_cfg(
+        tmp_path, scenario="dt_sweep", versions=("II", "I"), dt_list=(0.3, 1.0 / 8.0)
+    )
+    _, rows = _read_rows(run_dt_sweep(cfg)[0])
+    cases = [(r[1], float(r[2])) for r in rows]
+    assert cases == [("II", 0.3), ("II", 0.125), ("I", 0.3), ("I", 0.125)]
+    for row in rows:
+        failed = float(row[2]) == 0.3
+        assert (row[5] == "dt=0.3 does not divide T=1.0") == failed
+        assert (row[3] == "") == failed
+
+
 # ---------------------------------------------------------------------- CLI
 
 
@@ -451,17 +512,26 @@ _SAMPLE_TEXT = {"float": "0.125", "int": "700", "floats": "0.25,0.5", "strs": "I
 _SAMPLE_TEXT_BY_KEY = {"init": "exact", "sweep": "jacobi"}
 
 
-@pytest.mark.parametrize("key", [k for k in CONFIG_KEYS if k.name != "scenario"], ids=str)
+_COMMANDS = {scenario: command for command, scenario in _SCENARIO_COMMANDS.items()}
+
+
+@pytest.mark.parametrize(
+    "key", [k for k in CONFIG_KEYS if k.name != "scenario"], ids=lambda k: k.name
+)
 def test_flag_and_file_agree(tmp_path, monkeypatch, key):
     out = str(tmp_path / "out")
     text = out if key.name == "out_dir" else _SAMPLE_TEXT_BY_KEY.get(
         key.name, _SAMPLE_TEXT.get(key.kind)
     )
     out_args = [] if key.name == "out_dir" else ["--out-dir", out]
-    config = _write(tmp_path, "c.txt", f"{key.name}={text}\n")
+    # A scenario that reads the key; the tps command would add its presets.
+    scenario = "ratio_sweep" if "ratio_sweep" in key.read_by else key.read_by[0]
+    config = _write(tmp_path, "c.txt", f"scenario={scenario}\n{key.name}={text}\n")
     from_file = _config_seen_by_run(monkeypatch, ["run", config, *out_args])
     flag = "--" + key.name.replace("_", "-")
-    from_flag = _config_seen_by_run(monkeypatch, ["ratio-sweep", flag, text, *out_args])
+    from_flag = _config_seen_by_run(
+        monkeypatch, [_COMMANDS[scenario], flag, text, *out_args]
+    )
     assert from_file == from_flag
     assert getattr(from_flag, key.field) != getattr(ExperimentConfig(), key.field)
 
@@ -514,3 +584,84 @@ def test_unknown_flags_are_usage_errors(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:
         main(["ratio-sweep", "--out-dir", str(tmp_path), flag, "512"])
     assert exc.value.code == 2
+
+
+# ------------------------------------------------------------ unread keys
+
+
+@pytest.mark.parametrize(
+    "lines, flags, message",
+    [
+        (
+            "",
+            ["--nu-layers", "5,6,7", "--dts", "0.3", "--scan-points", "3"],
+            "scenario ratio_sweep does not read dts, nu_layers, scan_points",
+        ),
+        ("scenario=ratio_sweep\nmu=2\n", [], "c.txt: scenario ratio_sweep does not read mu"),
+        ("scenario=v3_root_scan\n", ["--versions", "I"], "v3_root_scan does not read versions"),
+        ("scenario=dt_sweep\ndt=0.125\n", [], "dt_sweep does not read dt"),
+        ("scenario=dx_sweep\n", ["--dx", "0.125"], "dx_sweep does not read dx"),
+        ("scenario=custom\nnu_layers=1,2\nnu1=3\n", [], "custom does not read nu1"),
+    ],
+)
+def test_keys_the_scenario_does_not_read_are_config_errors(
+    tmp_path, capsys, lines, flags, message
+):
+    config = _write(tmp_path, "c.txt", lines)
+    assert main(["run", config, "--out-dir", str(tmp_path / "out"), *flags]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_unread_keys_as_subcommand_flags(tmp_path, capsys):
+    argv = ["ratio-sweep", "--out-dir", str(tmp_path / "out"), "--nu-layers", "5,6,7"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("config error:")
+    # keys a scenario reads only through its presets are still flags of it
+    argv = ["tps", "--out-dir", str(tmp_path / "out"), "--ratios", "10"]
+    assert main(argv) == 1
+
+
+def test_benchmark_command_lines_are_accepted(tmp_path, monkeypatch):
+    path = os.path.join(os.path.dirname(__file__), "..", "perfbench", "workloads.py")
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in ("table1", "long_window", "layered"):
+        for seed in (0, 1):
+            argv = workloads.cli_argv(workload, seed, str(tmp_path / workload))
+            _config_seen_by_run(monkeypatch, argv)
+
+
+def test_every_scenario_reads_its_keys_and_ignores_the_rest(tmp_path):
+    # ``read_by`` is checked against the runners: a key left out of it must
+    # not change a single byte a scenario writes.
+    assert {s for key in CONFIG_KEYS for s in key.read_by} == set(SCENARIOS)
+    other = {
+        "dx": 0.5, "dt": 0.5, "dts": (0.5,), "dxs": (0.5,), "ratios": (7.0,),
+        "versions": ("I",), "nu1": 3.0, "nu_layers": (2.0, 3.0), "interfaces": (0.25,),
+        "u0": 3.0, "g_left": 1.0, "g_right": 1.0, "tolerance": 1e-3, "max_iter": 5,
+        "init": "exact", "sweep": "jacobi", "rho_points": 600, "scan_points": 600, "mu": 5.0,
+    }
+    small = dict(
+        final_time=1.0, dx=1.0 / 8.0, dt=1.0 / 8.0, ratios=(4.0,), versions=("II",),
+        dt_list=(1.0 / 8.0,), dx_list=(1.0 / 8.0,), nu_layers=(1.0, 0.1),
+    )
+
+    def written(cfg, name):
+        out = tmp_path / name
+        run_scenario(replace(cfg, out_dir=str(out)))
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    for scenario in SCENARIOS:
+        if scenario in ("rho_curves", "v3_root_scan"):
+            cfg = ExperimentConfig(scenario=scenario, ratios=(10.0,), scan_points=500)
+        else:
+            cfg = ExperimentConfig(scenario=scenario, **small)
+        expected = written(cfg, scenario)
+        for key in CONFIG_KEYS:
+            if scenario not in key.read_by:
+                changed = replace(cfg, **{key.field: other[key.name]})
+                assert written(changed, f"{scenario}-{key.name}") == expected, key.name

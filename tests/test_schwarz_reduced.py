@@ -1,7 +1,8 @@
 """The interface-reduced iteration: superposed subdomain solves and their cost.
 
-``oswr_iterate`` steps each subdomain in time once for its affine part and
-once per Robin end, then rebuilds every iterate by convolution.  These
+``oswr_iterate`` takes each subdomain's affine part from the monolithic
+reference and steps each subdomain in time only once per Robin end, for
+its impulse response, then rebuilds every iterate by convolution.  These
 tests compare that against direct solves and against the step-by-step
 iteration it replaced, kept here as the reference: that one exchanges
 interface traces and variationally recovered fluxes, where ``oswr_iterate``
@@ -151,17 +152,28 @@ def test_superposition_matches_direct_solve(rng, sides, lumped_mass):
     problem = _sub_problem(lumped_mass)
     mesh = Mesh1D.uniform(0.0, 0.75, 24)
     sigmas = {"left": 0.7, "right": 2.5}
-    series = {side: rng.normal(scale=10.0, size=problem.n_steps) for side in sides}
-    ends = [
-        RobinBoundaryData(side, sigmas[side], series[side]) if side in sides else dirichlet
-        for side, dirichlet in (("left", problem.bc_left), ("right", problem.bc_right))
-    ]
-    direct = solve_subdomain_robin(problem, mesh, *ends)
 
+    def direct_solve(series):
+        ends = [
+            RobinBoundaryData(side, sigmas[side], series[side]) if side in sides else dirichlet
+            for side, dirichlet in (("left", problem.bc_left), ("right", problem.bc_right))
+        ]
+        return solve_subdomain_robin(problem, mesh, *ends)
+
+    def random_series():
+        return {side: rng.normal(scale=10.0, size=problem.n_steps) for side in sides}
+
+    # The response is anchored at a solve with other data than it is asked for.
+    anchor_series, series = random_series(), random_series()
     response = schwarz._SubdomainResponse(
-        problem, mesh, {side: sigmas[side] for side in sides}
+        problem,
+        mesh,
+        {side: sigmas[side] for side in sides},
+        direct_solve(anchor_series).values,
+        anchor_series,
     )
     field = response.solve(series)
+    direct = direct_solve(series)
 
     assert np.abs(field.values - direct.values).max() <= 1e-12
     # The identity the Robin-data exchange rests on: at a Robin end the
@@ -193,9 +205,13 @@ def test_time_stepping_once_per_case(monkeypatch, n_interfaces):
         calls.append(1)
         return solve_subdomain_robin(*args, **kwargs)
 
+    def no_monolithic(*args, **kwargs):
+        raise AssertionError("the given reference must not be solved again")
+
     monkeypatch.setattr(schwarz, "solve_subdomain_robin", counting)
-    # one affine solve per subdomain plus one impulse solve per Robin end
-    expected = n_interfaces + 1 + 2 * n_interfaces
+    monkeypatch.setattr(schwarz, "solve_monolithic", no_monolithic)
+    # one impulse solve per Robin end; the affine part comes from the reference
+    expected = 2 * n_interfaces
     for max_iter in (1, 7):
         calls.clear()
         history, _ = oswr_iterate(
