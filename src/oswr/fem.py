@@ -1,10 +1,10 @@
 """P1 finite elements and backward Euler for the 1D heat equation.
 
 Uniform meshes, piecewise-constant diffusion whose breakpoints sit on mesh
-nodes, consistent (non-lumped) mass matrix, and tridiagonal direct solves
-with a prefactored no-pivot LU (the systems assembled here are strictly
-diagonally dominant).  Loads and boundary data are evaluated at the new
-time level (fully implicit).
+nodes, a consistent or (``lumped_mass``) row-sum lumped mass matrix, and
+tridiagonal direct solves with a prefactored no-pivot LU (the systems
+assembled here are strictly diagonally dominant).  Loads and boundary data
+are evaluated at the new time level (fully implicit).
 
 For domain decomposition two extra ingredients are provided: single-domain
 solves with Robin data

@@ -266,7 +266,7 @@ def max_rho_over_band(
     band: FrequencyBand,
     n_samples: int = 512,
 ) -> tuple[float, float]:
-    """Maximum of rho over [wt1, wt2] and the frequency attaining it.
+    """Frequency attaining the maximum of rho over [wt1, wt2], and that maximum.
 
     Scans a geometric grid of n_samples points plus every analytic interior
     stationary frequency that falls inside the band, so for the standard

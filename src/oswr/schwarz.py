@@ -16,14 +16,19 @@ solve with the exact Robin data g*.  So every subdomain field is
     u_j(g) = u_ref|_j + H_j (g - g*),
 
 where H_j convolves a series with the subdomain's Robin impulse
-responses.  The only time stepping per case is one impulse-response
-solve per Robin end; the affine part comes from the monolithic
-reference, and an iteration rebuilds each subdomain field by FFT
-convolution.  The exact discrete fixed point of the iteration is the
+responses.  The iteration runs on this error equation: its state is the
+Robin-data error g - g*, subdomain j yields its deviation
+d_j = H_j (g - g*), and the exchange keeps its form,
+
+    (g - g*)_out = (sigma + sigma') * d_j,interface - (g - g*)_in.
+
+The monolithic reference u_ref is only the yardstick and the base of the
+merged field.  The only time stepping per case is one impulse-response
+solve per Robin end, and an iteration is one FFT convolution per
+subdomain.  The exact discrete fixed point of the iteration is the
 monolithic solution, so the per-iteration error
 
-    e_k = max over subdomains, nodes and time levels of
-          |monolithic - subdomain value|
+    e_k = max over subdomains, nodes and time levels of |d_j|
 
 is the natural convergence measure and is what the driver records.
 """
@@ -128,21 +133,14 @@ class ConvergenceHistory:
     max_iter: int
 
 
-def combined_error(
-    monolithic: SpaceTimeField,
-    fields,
-    decomposition: Decomposition,
-) -> float:
-    """Max-norm distance between subdomain fields and the monolithic field.
+def combined_error(deviations) -> float:
+    """Max-norm distance between the subdomain fields and the monolithic field.
 
-    The maximum runs over every subdomain, every node (interface nodes are
-    checked on both owners) and time levels 1..n_steps.
+    ``deviations`` holds each subdomain's field minus the monolithic field
+    on its nodes, at time levels 1..n_steps, so interface nodes are
+    checked on both owners.  A nan or inf entry gives a nan or inf result.
     """
-    err = 0.0
-    for field, (lo, hi) in zip(fields, decomposition.node_ranges):
-        diff = np.abs(field.values[1:] - monolithic.values[1:, lo:hi])
-        err = max(err, float(diff.max()))
-    return err
+    return float(np.max([np.abs(dev).max() for dev in deviations]))
 
 
 def interface_params_for(
@@ -165,23 +163,29 @@ def interface_diffusion_pairs(
     ]
 
 
-def _exact_robin_data(
+def _initial_robin_error(
+    init: str,
     problem: HeatProblem,
     decomposition: Decomposition,
     params: list[TransmissionParams],
     reference: SpaceTimeField,
 ) -> list[np.ndarray]:
-    """Exact Robin series g* at both sides of every interface, two per interface.
+    """First Robin-data error g - g*, two series per interface.
 
     Entry 2i goes into the right end of subdomain i (coefficient sigma1 of
     interface i), entry 2i + 1 into the left end of subdomain i + 1
-    (sigma2).  Each is sigma * u + outward flux of its subdomain, both
-    taken from the monolithic solution: the data with which a subdomain
-    solve reproduces that solution.
+    (sigma2).  Robin data are sigma * u + outward flux; the first guess
+    takes u as 0 (``zero``) or as u0 at the interface node
+    (``from_initial``) and the flux as 0, the exact data g* take both
+    from the monolithic solution.  ``exact`` starts with no error.
     """
-    robin = []
+    if init == "exact":
+        return [np.zeros(problem.n_steps) for _ in range(2 * len(params))]
+    u0 = problem.initial_values(decomposition.global_mesh)
+    delta = []
     for i, (p, node) in enumerate(zip(params, decomposition.interface_nodes)):
-        trace = reference.values[1:, node]
+        guess = u0[node] if init == "from_initial" else 0.0
+        miss = guess - reference.values[1:, node]
         lo, hi = decomposition.node_ranges[i]
         mesh = decomposition.submeshes[i]
         # Outward flux of the left subdomain; the right one's is its
@@ -194,31 +198,8 @@ def _exact_robin_data(
             problem.source,
             problem.lumped_mass,
         )
-        robin += [p.sigma1 * trace + flux, p.sigma2 * trace - flux]
-    return robin
-
-
-def _initial_robin_data(
-    init: str,
-    problem: HeatProblem,
-    decomposition: Decomposition,
-    params: list[TransmissionParams],
-    exact: list[np.ndarray],
-) -> list[np.ndarray]:
-    """First Robin series, laid out like ``exact`` (see ``_exact_robin_data``).
-
-    Each is sigma * u + outward flux, with u and the flux guessed as 0
-    (``zero``) or as u0 at the interface node and 0 (``from_initial``);
-    ``exact`` starts from the exact data.
-    """
-    if init == "exact":
-        return list(exact)
-    u0 = problem.initial_values(decomposition.global_mesh)
-    robin = []
-    for p, node in zip(params, decomposition.interface_nodes):
-        trace = np.full(problem.n_steps, u0[node] if init == "from_initial" else 0.0)
-        robin += [p.sigma1 * trace, p.sigma2 * trace]
-    return robin
+        delta += [p.sigma1 * miss - flux, p.sigma2 * miss + flux]
+    return delta
 
 
 def _at_robin_ends(j: int, n_sub: int, per_side: list) -> dict:
@@ -236,39 +217,24 @@ def _at_robin_ends(j: int, n_sub: int, per_side: list) -> dict:
 
 
 class _SubdomainResponse:
-    """One subdomain's field as an affine map of its Robin data.
+    """The linear part H_j of one subdomain solve: Robin data to field.
 
     Backward Euler with a fixed system matrix is linear and time-invariant
-    in the Robin series g_R.  So the solve with Robin series ``g`` at each
-    Robin end equals any one known solve of the same map, the *anchor*
-    with its series g_a, plus, per Robin end, the causal convolution of
-    ``g - g_a`` with the response to the unit impulse ``[1, 0, ..., 0]``
-    at that end.  ``oswr_iterate`` anchors every subdomain at the
-    monolithic reference and the exact data g*, so the affine part is
-    never stepped.  Time stepping happens only here, once per Robin end
-    for the impulse response; the convolutions are evaluated with FFTs of
-    length 2 * n_steps, which makes them exact linear (not circular)
-    convolutions.
+    in the Robin series.  So two solves whose Robin data differ by a series
+    ``e`` at each Robin end differ by H_j e: per Robin end, the causal
+    convolution of ``e`` with the response to the unit impulse
+    ``[1, 0, ..., 0]`` at that end.  ``oswr_iterate`` applies it to the
+    Robin-data error g - g*, which gives the subdomain's deviation from
+    the monolithic reference.  Time stepping happens only here, once per
+    Robin end for the impulse response; the convolutions are evaluated
+    with FFTs of length 2 * n_steps, which makes them exact linear (not
+    circular) convolutions.
     """
 
-    def __init__(
-        self,
-        problem: HeatProblem,
-        mesh: Mesh1D,
-        sigmas: dict[str, float],
-        anchor: np.ndarray,
-        anchor_series: dict[str, np.ndarray],
-    ):
-        """``sigmas`` maps each Robin end to its coefficient; other ends are Dirichlet.
-
-        ``anchor`` holds levels 0..n_steps (rows) of every node (columns)
-        of the solve with the Robin series ``anchor_series``, keyed like
-        ``sigmas``.
-        """
+    def __init__(self, problem: HeatProblem, mesh: Mesh1D, sigmas: dict[str, float]):
+        """``sigmas`` maps each Robin end to its coefficient; other ends are Dirichlet."""
         n = problem.n_steps
         self.sides = tuple(side for side in ("left", "right") if side in sigmas)
-        self.mesh = mesh
-        self.time_step = problem.time_step
         self.n_steps = n
         zero = np.zeros(n)
         impulse = np.zeros(n)
@@ -287,27 +253,21 @@ class _SubdomainResponse:
         self.spectra = [
             np.fft.rfft(impulse_response(side).T, 2 * n) for side in self.sides
         ]
-        # The field for zero Robin data: the anchor minus its data's response.
-        self.base = np.array(anchor, dtype=float)
-        self._superpose(self.base, {side: -g for side, g in anchor_series.items()})
 
-    def _superpose(self, out: np.ndarray, series: dict[str, np.ndarray]) -> None:
-        """Add to levels 1..n_steps of ``out`` the response to ``series``."""
+    def __call__(self, series: dict[str, np.ndarray]) -> np.ndarray:
+        """H_j applied to a series per Robin end: levels 1..n_steps (rows) by node."""
         n = self.n_steps
         g_hat = [np.fft.rfft(series[side], 2 * n) for side in self.sides]
+        n_nodes = self.spectra[0].shape[0]
+        out = np.empty((n, n_nodes))
         # A few columns at a time keep the complex temporaries small.
-        for lo in range(0, out.shape[1], _FFT_BLOCK):
+        for lo in range(0, n_nodes, _FFT_BLOCK):
             cols = slice(lo, lo + _FFT_BLOCK)
             acc = self.spectra[0][cols] * g_hat[0]
             for spectrum, g in zip(self.spectra[1:], g_hat[1:]):
                 acc += spectrum[cols] * g
-            out[1:, cols] += np.fft.irfft(acc, 2 * n)[:, :n].T
-
-    def solve(self, series: dict[str, np.ndarray]) -> SpaceTimeField:
-        """Field for the Robin series at each Robin end."""
-        out = self.base.copy()
-        self._superpose(out, series)
-        return SpaceTimeField(self.mesh, self.time_step, out)
+            out[:, cols] = np.fft.irfft(acc, 2 * n)[:, :n].T
+        return out
 
 
 def oswr_iterate(
@@ -330,13 +290,16 @@ def oswr_iterate(
     (Gauss-Seidel); ``jacobi`` makes all subdomains use the previous
     iteration's data.
 
-    ``reference`` is the monolithic solution of ``problem`` (solved here
-    when None).  Besides being the error's yardstick, it gives every
-    subdomain field its affine part, so it must be that solution.
+    The iterated state is the Robin-data error g - g*, and subdomain j
+    yields its deviation H_j (g - g*) from the monolithic solution.
+    ``reference`` is that solution of ``problem`` (solved here when
+    None); it is the error's yardstick and the base of the merged field,
+    so it must be that solution.
 
     Stops once the error against the monolithic solution drops to ``tol``.
     Raises IterationDiverged if the error exceeds 1e6 times the first
-    iterate's error; returns converged=False after ``max_iter`` otherwise.
+    iterate's error, ValueError if an iterate is not finite; returns
+    converged=False after ``max_iter`` otherwise.
     """
     if init not in INIT_MODES:
         raise ValueError(f"init must be one of {INIT_MODES}")
@@ -354,21 +317,12 @@ def oswr_iterate(
     if reference is None:
         reference = solve_monolithic(problem, decomposition.global_mesh)
     n_sub = decomposition.n_subdomains
-    exact = _exact_robin_data(problem, decomposition, params, reference)
-    robin = _initial_robin_data(init, problem, decomposition, params, exact)
+    delta = _initial_robin_error(init, problem, decomposition, params, reference)
     sigma_sums = [p.sigma1 + p.sigma2 for p in params]
     sigmas = [s for p in params for s in (p.sigma1, p.sigma2)]
     responses = [
-        _SubdomainResponse(
-            problem,
-            mesh_j,
-            _at_robin_ends(j, n_sub, sigmas),
-            reference.values[:, lo:hi],
-            _at_robin_ends(j, n_sub, exact),
-        )
-        for j, (mesh_j, (lo, hi)) in enumerate(
-            zip(decomposition.submeshes, decomposition.node_ranges)
-        )
+        _SubdomainResponse(problem, mesh_j, _at_robin_ends(j, n_sub, sigmas))
+        for j, mesh_j in enumerate(decomposition.submeshes)
     ]
 
     errors: list[float] = []
@@ -378,18 +332,20 @@ def oswr_iterate(
     for k in range(1, max_iter + 1):
         # Subdomain j reads entries 2j - 1 (left end) and 2j (right end) and
         # writes its neighbors' entries 2j - 2 and 2j + 1.
-        data = robin if sweep == "gauss_seidel" else list(robin)
-        fields: list[SpaceTimeField] = []
+        data = delta if sweep == "gauss_seidel" else list(delta)
+        deviations: list[np.ndarray] = []
         for j, response in enumerate(responses):
             series = _at_robin_ends(j, n_sub, data)
-            field = response.solve(series)
-            fields.append(field)
+            dev = response(series)
+            deviations.append(dev)
             if j > 0:
-                robin[2 * j - 2] = sigma_sums[j - 1] * field.values[1:, 0] - series["left"]
+                delta[2 * j - 2] = sigma_sums[j - 1] * dev[:, 0] - series["left"]
             if j < n_sub - 1:
-                robin[2 * j + 1] = sigma_sums[j] * field.values[1:, -1] - series["right"]
+                delta[2 * j + 1] = sigma_sums[j] * dev[:, -1] - series["right"]
 
-        err = combined_error(reference, fields, decomposition)
+        err = combined_error(deviations)
+        if not math.isfinite(err):
+            raise ValueError(f"iterate {k} is not finite")
         errors.append(err)
         if err <= tol:
             converged = True
@@ -403,7 +359,7 @@ def oswr_iterate(
 
     # The spectra are not needed for merging; free them before it allocates.
     del responses
-    combined = _combine_fields(fields, decomposition, problem, reference)
+    combined = _combine_fields(deviations, decomposition, reference)
     history = ConvergenceHistory(
         tuple(errors), tol, converged, iterations, max_iter
     )
@@ -411,17 +367,14 @@ def oswr_iterate(
 
 
 def _combine_fields(
-    fields,
-    decomposition: Decomposition,
-    problem: HeatProblem,
-    reference: SpaceTimeField,
+    deviations, decomposition: Decomposition, reference: SpaceTimeField
 ) -> SpaceTimeField:
-    """Merge subdomain fields onto the global mesh, averaging interface nodes."""
-    values = np.zeros_like(reference.values)
+    """The reference plus the subdomain deviations, averaged at interface nodes."""
+    total = np.zeros_like(reference.values[1:])
     weight = np.zeros(decomposition.global_mesh.n_nodes)
-    for field, (lo, hi) in zip(fields, decomposition.node_ranges):
-        values[:, lo:hi] += field.values
+    for dev, (lo, hi) in zip(deviations, decomposition.node_ranges):
+        total[:, lo:hi] += dev
         weight[lo:hi] += 1.0
-    values /= weight
-    values[0] = problem.initial_values(decomposition.global_mesh)
-    return SpaceTimeField(decomposition.global_mesh, problem.time_step, values)
+    values = reference.values.copy()
+    values[1:] += total / weight
+    return SpaceTimeField(reference.mesh, reference.time_step, values)

@@ -1,12 +1,15 @@
 """The interface-reduced iteration: superposed subdomain solves and their cost.
 
-``oswr_iterate`` takes each subdomain's affine part from the monolithic
-reference and steps each subdomain in time only once per Robin end, for
-its impulse response, then rebuilds every iterate by convolution.  These
-tests compare that against direct solves and against the step-by-step
-iteration it replaced, kept here as the reference: that one exchanges
-interface traces and variationally recovered fluxes, where ``oswr_iterate``
-exchanges Robin data only.
+``oswr_iterate`` iterates on the Robin-data error g - g*: it steps each
+subdomain in time only once per Robin end, for its impulse response, and
+every iterate of subdomain j is its deviation H_j (g - g*) from the
+monolithic reference, by convolution.  The reference is only the error's
+yardstick and the base of the merged field.  These tests compare that
+against direct solves and against the step-by-step iteration it
+replaced, kept here as the reference: that one exchanges interface traces
+and variationally recovered fluxes, where ``oswr_iterate`` exchanges
+Robin data only.  They also pin the iteration's calls: one error
+evaluation per iteration, one flux recovery per interface at most.
 """
 
 import numpy as np
@@ -133,7 +136,12 @@ def _stepping_reference(problem, deco, params, init, sweep, max_iter, tol, refer
             if j < n_sub - 1:
                 state[j]["left_trace"] = field.values[1:, -1]
                 state[j]["left_flux"] = _outward_flux(problem, mesh, field.values, "right")
-        errors.append(schwarz.combined_error(reference, fields, deco))
+        errors.append(
+            schwarz.combined_error(
+                [f.values[1:] - reference.values[1:, lo:hi]
+                 for f, (lo, hi) in zip(fields, deco.node_ranges)]
+            )
+        )
         if errors[-1] <= tol:
             break
     return errors
@@ -163,19 +171,16 @@ def test_superposition_matches_direct_solve(rng, sides, lumped_mass):
     def random_series():
         return {side: rng.normal(scale=10.0, size=problem.n_steps) for side in sides}
 
-    # The response is anchored at a solve with other data than it is asked for.
-    anchor_series, series = random_series(), random_series()
+    # Two solves differ by the response to the difference of their data.
+    first, series = random_series(), random_series()
     response = schwarz._SubdomainResponse(
-        problem,
-        mesh,
-        {side: sigmas[side] for side in sides},
-        direct_solve(anchor_series).values,
-        anchor_series,
+        problem, mesh, {side: sigmas[side] for side in sides}
     )
-    field = response.solve(series)
+    deviation = response({side: series[side] - first[side] for side in sides})
     direct = direct_solve(series)
 
-    assert np.abs(field.values - direct.values).max() <= 1e-12
+    rebuilt = direct_solve(first).values[1:] + deviation
+    assert np.abs(rebuilt - direct.values[1:]).max() <= 1e-12
     # The identity the Robin-data exchange rests on: at a Robin end the
     # recovered flux is g - sigma * u.
     for side in sides:
@@ -184,8 +189,7 @@ def test_superposition_matches_direct_solve(rng, sides, lumped_mass):
         assert np.abs(flux - (series[side] - sigmas[side] * u_end)).max() <= 1e-12
 
 
-@pytest.mark.parametrize("n_interfaces", [1, 2])
-def test_time_stepping_once_per_case(monkeypatch, n_interfaces):
+def _small_case(n_interfaces):
     mesh = Mesh1D.uniform(0.0, 1.0, 12)
     interfaces = [0.5] if n_interfaces == 1 else [0.25, 0.5]
     layers = (1.0, 0.1) if n_interfaces == 1 else (1.0, 0.1, 0.01)
@@ -193,22 +197,35 @@ def test_time_stepping_once_per_case(monkeypatch, n_interfaces):
         DiffusionProfile(layers, tuple(interfaces)), None, 20.0, 0.0, 0.0, 1.0, 0.125
     )
     deco = decompose(mesh, interfaces)
-    reference = solve_monolithic(problem, mesh)
     band = frequency_band_from_grid(1.0, 0.125)
     params = [
         interface_params_for("I", band, pair)
         for pair in interface_diffusion_pairs(problem, deco)
     ]
+    return problem, deco, params, solve_monolithic(problem, mesh)
+
+
+def _counting(monkeypatch, name):
+    """Replace ``schwarz.<name>`` by a wrapper; returns its list of calls."""
     calls = []
+    fn = getattr(schwarz, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return solve_subdomain_robin(*args, **kwargs)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(schwarz, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("n_interfaces", [1, 2])
+def test_time_stepping_once_per_case(monkeypatch, n_interfaces):
+    problem, deco, params, reference = _small_case(n_interfaces)
+    calls = _counting(monkeypatch, "solve_subdomain_robin")
 
     def no_monolithic(*args, **kwargs):
         raise AssertionError("the given reference must not be solved again")
 
-    monkeypatch.setattr(schwarz, "solve_subdomain_robin", counting)
     monkeypatch.setattr(schwarz, "solve_monolithic", no_monolithic)
     # one impulse solve per Robin end; the affine part comes from the reference
     expected = 2 * n_interfaces
@@ -219,6 +236,47 @@ def test_time_stepping_once_per_case(monkeypatch, n_interfaces):
         )
         assert len(history.errors) == max_iter
         assert len(calls) == expected
+
+
+@pytest.mark.parametrize("init", schwarz.INIT_MODES)
+@pytest.mark.parametrize("n_interfaces", [1, 2])
+def test_call_contract_of_the_iteration(monkeypatch, n_interfaces, init):
+    """One error evaluation per iteration; one flux recovery per interface
+    for a guessed start and none for the exact one."""
+    problem, deco, params, reference = _small_case(n_interfaces)
+    errors = _counting(monkeypatch, "combined_error")
+    fluxes = _counting(monkeypatch, "variational_flux")
+    for tol, max_iter in ((1e-300, 5), (1e-6, 1000)):
+        errors.clear()
+        fluxes.clear()
+        history, _ = oswr_iterate(
+            problem, deco, params, tol=tol, max_iter=max_iter, init=init,
+            reference=reference,
+        )
+        assert len(errors) == len(history.errors)
+        assert len(fluxes) == (0 if init == "exact" else n_interfaces)
+    assert history.converged
+
+
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+def test_non_finite_iterate_is_an_error(monkeypatch, sweep):
+    problem, deco, params, reference = _small_case(2)
+    respond = schwarz._SubdomainResponse.__call__
+    calls = []
+
+    def poisoned(self, series):
+        calls.append(1)
+        out = respond(self, series)
+        if len(calls) == deco.n_subdomains + 2:  # middle subdomain, iteration 2
+            out[1, 1] = np.nan
+        return out
+
+    monkeypatch.setattr(schwarz._SubdomainResponse, "__call__", poisoned)
+    with pytest.raises(ValueError, match="not finite"):
+        oswr_iterate(
+            problem, deco, params, tol=1e-300, max_iter=5, sweep=sweep,
+            reference=reference,
+        )
 
 
 def _check_histories_match_stepping(sweep, init, with_source):
