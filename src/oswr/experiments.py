@@ -116,6 +116,11 @@ class ExperimentConfig:
         positive("nu1", self.nu1)
         positive("tolerance", self.tolerance)
         positive("mu", self.mu)
+        for key, value in (
+            ("u0", self.initial_value), ("g_left", self.bc_left), ("g_right", self.bc_right)
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
         for key, seq in (("dts", self.dt_list), ("dxs", self.dx_list)):
             if not seq:
                 raise ConfigError(f"{key} must not be empty")

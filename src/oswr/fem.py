@@ -6,19 +6,21 @@ tridiagonal direct solves with a prefactored no-pivot LU (the systems
 assembled here are strictly diagonally dominant).  Loads and boundary data
 are evaluated at the new time level (fully implicit).
 
-For domain decomposition two extra ingredients are provided: single-domain
-solves with Robin data
+For domain decomposition three extra ingredients are provided:
+single-domain solves with Robin data
 
     nu * du/dn + sigma * u = g_R   (outward normal n)
 
-at either end, and variational recovery of the boundary flux nu * du/dn
-from the residual of the boundary row.  At a Robin end that residual is
-fixed by the solve itself: the recovered flux equals g_R - sigma * u to
-rounding, so the Schwarz iteration exchanges Robin data and the recovery
-is used only where no Robin data exist (a field from a Dirichlet solve).
-Taking the flux from the boundary row (rather than a one-sided
-difference) makes the discrete Schwarz fixed point coincide with the
-monolithic discrete solution.
+at either end; the response of such a solve to a unit Robin impulse at
+each end, computed without a time loop by powering the one-step
+propagator (``robin_impulse_responses``); and variational recovery of the
+boundary flux nu * du/dn from the residual of the boundary row.  At a
+Robin end that residual is fixed by the solve itself: the recovered flux
+equals g_R - sigma * u to rounding, so the Schwarz iteration exchanges
+Robin data and the recovery is used only where no Robin data exist (a
+field from a Dirichlet solve).  Taking the flux from the boundary row
+(rather than a one-sided difference) makes the discrete Schwarz fixed
+point coincide with the monolithic discrete solution.
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ __all__ = [
     "assemble_operators",
     "solve_monolithic",
     "solve_subdomain_robin",
+    "robin_impulse_responses",
     "variational_flux",
 ]
 
@@ -374,6 +377,25 @@ def _apply_dirichlet_row(A: TridiagonalMatrix, side: str) -> None:
         A.lower[-1] = 0.0
 
 
+def _step_operators(
+    problem: HeatProblem, mesh: Mesh1D, robin_sigmas: dict[str, float]
+) -> tuple[TridiagonalMatrix, TridiagonalMatrix]:
+    """Mass matrix and backward-Euler system matrix of one solve.
+
+    The ends in ``robin_sigmas`` get dt * sigma on their diagonal entry,
+    the other ends the Dirichlet identity row.
+    """
+    mass, stiffness = assemble_operators(mesh, problem.diffusion, problem.lumped_mass)
+    dt = problem.time_step
+    A = _system_matrix(mass, stiffness, dt)
+    for side, idx in (("left", 0), ("right", -1)):
+        if side in robin_sigmas:
+            A.diag[idx] += dt * robin_sigmas[side]
+        else:
+            _apply_dirichlet_row(A, side)
+    return mass, A
+
+
 def solve_monolithic(problem: HeatProblem, mesh: Mesh1D) -> SpaceTimeField:
     """Backward Euler solve with Dirichlet values at both ends.
 
@@ -401,13 +423,11 @@ def solve_subdomain_robin(
     sigma to the boundary diagonal and g_R at the new time level to the
     boundary load; the flux at that end is therefore g_R - sigma*u.
     """
-    mass, stiffness = assemble_operators(mesh, problem.diffusion, problem.lumped_mass)
     dt = problem.time_step
     n_steps = problem.n_steps
-    A = _system_matrix(mass, stiffness, dt)
-
     robin_rows: list[tuple[int, np.ndarray]] = []
     dirichlet_rows: list[tuple[int, Callable[[float], float]]] = []
+    sigmas = {}
     for side, data in (("left", left), ("right", right)):
         idx = 0 if side == "left" else -1
         if isinstance(data, RobinBoundaryData):
@@ -418,11 +438,11 @@ def solve_subdomain_robin(
                     f"Robin series has {data.values.size} entries, need {n_steps}"
                 )
             robin_rows.append((idx, data.values))
-            A.diag[idx] += dt * data.sigma
+            sigmas[side] = data.sigma
         else:
             dirichlet_rows.append((idx, _as_time_function(data)))
-            _apply_dirichlet_row(A, side)
 
+    mass, A = _step_operators(problem, mesh, sigmas)
     solver = TridiagonalSolver(A)
     u = problem.initial_values(mesh)
     values = np.empty((n_steps + 1, mesh.n_nodes))
@@ -441,6 +461,62 @@ def solve_subdomain_robin(
         values[k] = u
 
     return SpaceTimeField(mesh, dt, values)
+
+
+def robin_impulse_responses(
+    problem: HeatProblem, mesh: Mesh1D, sigmas: dict[str, float]
+) -> dict[str, np.ndarray]:
+    """Response of one subdomain to a unit impulse at each of its Robin ends.
+
+    ``sigmas`` maps each Robin end ("left", "right") to its coefficient;
+    the other ends are Dirichlet.  For each Robin end, in left-right order,
+    the result holds the nodal values at levels 1..n_steps (rows) of
+    ``solve_subdomain_robin`` on ``problem`` with no source, zero initial
+    and Dirichlet data, and the Robin series ``[1, 0, ..., 0]`` at that end
+    (zero at the other).  Only the diffusion, the mass option and the time
+    grid of ``problem`` are read.
+
+    No time loop: without data after level 1 a step is the fixed map
+    u_k = P u_{k-1}, P = A^{-1} B (A the system matrix, B the mass matrix
+    with its Dirichlet rows zeroed), so level k is P^(k-1) h_1 with
+    h_1 = A^{-1} (dt e_end).  P is formed column by column with the
+    tridiagonal solver, and the levels are filled by doubling:
+    levels w+1..2w are P^w applied to levels 1..w, and P^2w = P^w P^w.
+    The products are ``np.einsum`` contractions, which run in numpy's own
+    loops rather than in a threaded BLAS.  The cost is O(n^3 log N + n^2 N)
+    for n nodes and N steps, against O(n N) Python-level work for stepping.
+    """
+    sides = tuple(side for side in ("left", "right") if side in sigmas)
+    if not sides or len(sides) != len(sigmas):
+        raise ValueError("sigmas must map one or both of 'left', 'right' to a coefficient")
+    for side in sides:
+        if not (math.isfinite(sigmas[side]) and sigmas[side] > 0.0):
+            raise ValueError("sigma must be positive and finite")
+    mass, A = _step_operators(problem, mesh, sigmas)
+    dt = problem.time_step
+    n_steps = problem.n_steps
+    n_nodes = mesh.n_nodes
+    B = mass.to_dense()
+    for side, idx in (("left", 0), ("right", -1)):
+        if side not in sigmas:
+            B[idx] = 0.0
+    solver = TridiagonalSolver(A)
+    power = np.stack([solver.solve(B[:, c]) for c in range(n_nodes)], axis=1)
+
+    # levels[:, k, r]: node values at level k + 1 for the impulse at sides[r]
+    levels = np.empty((n_nodes, n_steps, len(sides)))
+    for r, side in enumerate(sides):
+        rhs = np.zeros(n_nodes)
+        rhs[0 if side == "left" else -1] = dt
+        levels[:, 0, r] = solver.solve(rhs)
+    done = 1
+    while done < n_steps:
+        m = min(done, n_steps - done)
+        levels[:, done : done + m] = np.einsum("ij,jkr->ikr", power, levels[:, :m])
+        done += m
+        if done < n_steps:
+            power = np.einsum("ij,jk->ik", power, power)
+    return {side: levels[:, :, r].T for r, side in enumerate(sides)}
 
 
 def variational_flux(

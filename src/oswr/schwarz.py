@@ -23,9 +23,10 @@ d_j = H_j (g - g*), and the exchange keeps its form,
     (g - g*)_out = (sigma + sigma') * d_j,interface - (g - g*)_in.
 
 The monolithic reference u_ref is only the yardstick and the base of the
-merged field.  The only time stepping per case is one impulse-response
-solve per Robin end, and an iteration is one FFT convolution per
-subdomain.  The exact discrete fixed point of the iteration is the
+merged field.  A case steps nothing in time: the impulse responses come
+from ``fem.robin_impulse_responses``, which powers each subdomain's
+one-step propagator by doubling, and an iteration is one FFT convolution
+per subdomain.  The exact discrete fixed point of the iteration is the
 monolithic solution, so the per-iteration error
 
     e_k = max over subdomains, nodes and time levels of |d_j|
@@ -36,17 +37,18 @@ is the natural convergence measure and is what the driver records.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .fem import (
     HeatProblem,
     Mesh1D,
-    RobinBoundaryData,
     SpaceTimeField,
+    robin_impulse_responses,
     solve_monolithic,
-    solve_subdomain_robin,
+    # Not called here: perfbench's tracer test wraps it through this module.
+    solve_subdomain_robin,  # noqa: F401
     variational_flux,
 )
 from .frequency import DiffusionPair, FrequencyBand, TransmissionParams
@@ -225,33 +227,20 @@ class _SubdomainResponse:
     convolution of ``e`` with the response to the unit impulse
     ``[1, 0, ..., 0]`` at that end.  ``oswr_iterate`` applies it to the
     Robin-data error g - g*, which gives the subdomain's deviation from
-    the monolithic reference.  Time stepping happens only here, once per
-    Robin end for the impulse response; the convolutions are evaluated
-    with FFTs of length 2 * n_steps, which makes them exact linear (not
-    circular) convolutions.
+    the monolithic reference.  The impulse responses come from
+    ``fem.robin_impulse_responses`` (one assembly and one propagator for
+    all Robin ends of the subdomain, no time loop); the convolutions are
+    evaluated with FFTs of length 2 * n_steps, which makes them exact
+    linear (not circular) convolutions.
     """
 
     def __init__(self, problem: HeatProblem, mesh: Mesh1D, sigmas: dict[str, float]):
         """``sigmas`` maps each Robin end to its coefficient; other ends are Dirichlet."""
-        n = problem.n_steps
-        self.sides = tuple(side for side in ("left", "right") if side in sigmas)
-        self.n_steps = n
-        zero = np.zeros(n)
-        impulse = np.zeros(n)
-        impulse[0] = 1.0
-        quiet = replace(problem, source=None, initial=0.0, bc_left=0.0, bc_right=0.0)
-
-        def impulse_response(hit: str) -> np.ndarray:
-            ends = [
-                RobinBoundaryData(side, sigmas[side], impulse if side == hit else zero)
-                if side in sigmas
-                else 0.0
-                for side in ("left", "right")
-            ]
-            return solve_subdomain_robin(quiet, mesh, *ends).values[1:]
-
+        responses = robin_impulse_responses(problem, mesh, sigmas)
+        self.sides = tuple(responses)
+        self.n_steps = problem.n_steps
         self.spectra = [
-            np.fft.rfft(impulse_response(side).T, 2 * n) for side in self.sides
+            np.fft.rfft(h.T, 2 * self.n_steps) for h in responses.values()
         ]
 
     def __call__(self, series: dict[str, np.ndarray]) -> np.ndarray:

@@ -579,6 +579,27 @@ def test_empty_or_malformed_values_are_config_errors(tmp_path, capsys, lines, fl
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", ["u0", "g_left", "g_right"])
+def test_non_finite_initial_and_boundary_values_are_config_errors(
+    tmp_path, capsys, key, value
+):
+    flag = "--" + key.replace("_", "-")
+    empty = _write(tmp_path, "empty.txt", "")
+    in_file = _write(tmp_path, "c.txt", f"{key}={value}\n")
+    out = str(tmp_path / "out")
+    for argv in (
+        ["ratio-sweep", "--out-dir", out, f"{flag}={value}"],
+        ["run", empty, "--out-dir", out, f"{flag}={value}"],
+        ["run", in_file, "--out-dir", out],
+    ):
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{key} must be finite, got {float(value)!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("flag", ["--param-grid-size", "--freq-grid-size", "--scenario"])
 def test_unknown_flags_are_usage_errors(tmp_path, flag):
     with pytest.raises(SystemExit) as exc:

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,13 @@ from oswr.fem import (
     TridiagonalMatrix,
     TridiagonalSolver,
     assemble_operators,
+    robin_impulse_responses,
     solve_monolithic,
     solve_subdomain_robin,
     variational_flux,
 )
+from oswr.frequency import DiffusionPair, frequency_band_from_grid
+from oswr.optimize import optimize
 
 
 def _plain_problem(nu_layers=(1.0,), breakpoints=(), u0=20.0, T=5.0, dt=1.0 / 40.0, **kw):
@@ -304,6 +308,81 @@ def test_robin_penalty_limit_is_dirichlet():
     data = RobinBoundaryData("right", sigma, sigma * target)
     field = solve_subdomain_robin(problem, mesh, 0.0, data)
     assert np.abs(field.values[1:, -1] - target).max() <= 1e-6
+
+
+# -------------------------------------------------------- impulse responses
+
+
+def _stepped_impulse_responses(problem, mesh, sigmas):
+    """The responses by time stepping: one quiet Robin solve per Robin end."""
+    n = problem.n_steps
+    impulse = np.zeros(n)
+    impulse[0] = 1.0
+    quiet = replace(problem, source=None, initial=0.0, bc_left=0.0, bc_right=0.0)
+    responses = {}
+    for hit in ("left", "right"):
+        if hit in sigmas:
+            ends = [
+                RobinBoundaryData(side, sigmas[side], impulse if side == hit else np.zeros(n))
+                if side in sigmas
+                else 0.0
+                for side in ("left", "right")
+            ]
+            responses[hit] = solve_subdomain_robin(quiet, mesh, *ends).values[1:]
+    return responses
+
+
+def _check_impulse_responses(problem, mesh, sigmas):
+    expected = _stepped_impulse_responses(problem, mesh, sigmas)
+    responses = robin_impulse_responses(problem, mesh, sigmas)
+    assert list(responses) == list(expected)
+    for side, h in responses.items():
+        assert h.shape == (problem.n_steps, mesh.n_nodes)
+        assert np.abs(h - expected[side]).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 200])
+@pytest.mark.parametrize("lumped_mass", [False, True])
+@pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right")])
+def test_impulse_responses_match_stepping(sides, lumped_mass, n_steps):
+    # A diffusion jump at an interior node; the source, initial and
+    # Dirichlet data must not enter the responses.
+    problem = HeatProblem(
+        DiffusionProfile((1.0, 0.05), (0.375,)),
+        lambda x, t: np.sin(3.0 * x) * (1.0 + t),
+        lambda x: 5.0 + x,
+        lambda t: 2.0 * t,
+        3.0,
+        n_steps / 32.0,
+        1.0 / 32.0,
+        lumped_mass,
+    )
+    mesh = Mesh1D.uniform(0.0, 0.75, 24)
+    all_sigmas = {"left": 0.7, "right": 2.5}
+    _check_impulse_responses(problem, mesh, {side: all_sigmas[side] for side in sides})
+
+
+def test_impulse_responses_match_stepping_at_ratio_1e8():
+    problem = _plain_problem(nu_layers=(1.0, 1e-8), breakpoints=(0.5,))
+    band = frequency_band_from_grid(problem.final_time, problem.time_step)
+    params = optimize("I", band, DiffusionPair(1.0, 1e-8)).params
+    mesh = Mesh1D.uniform(0.0, 1.0, 40)
+    left, right = Mesh1D.from_nodes(mesh.nodes[:21]), Mesh1D.from_nodes(mesh.nodes[20:])
+    _check_impulse_responses(problem, left, {"right": params.sigma1})
+    _check_impulse_responses(problem, right, {"left": params.sigma2})
+
+
+def test_impulse_responses_match_stepping_on_a_long_fine_grid():
+    problem = _plain_problem(nu_layers=(1.0, 0.1), breakpoints=(0.5,), dt=5.0 / 3200.0)
+    _check_impulse_responses(problem, Mesh1D.uniform(0.0, 1.0, 100), {"right": 2.5})
+
+
+def test_impulse_responses_validate_their_ends():
+    problem = _plain_problem(T=1.0, dt=0.25)
+    mesh = Mesh1D.uniform(0.0, 0.5, 10)
+    for sigmas in ({}, {"middle": 1.0}, {"left": 0.0}, {"right": math.nan}, {"right": -1.0}):
+        with pytest.raises(ValueError):
+            robin_impulse_responses(problem, mesh, sigmas)
 
 
 # ------------------------------------------------------------ flux recovery

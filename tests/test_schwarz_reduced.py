@@ -1,20 +1,22 @@
 """The interface-reduced iteration: superposed subdomain solves and their cost.
 
-``oswr_iterate`` iterates on the Robin-data error g - g*: it steps each
-subdomain in time only once per Robin end, for its impulse response, and
-every iterate of subdomain j is its deviation H_j (g - g*) from the
-monolithic reference, by convolution.  The reference is only the error's
-yardstick and the base of the merged field.  These tests compare that
-against direct solves and against the step-by-step iteration it
+``oswr_iterate`` iterates on the Robin-data error g - g*: every iterate
+of subdomain j is its deviation H_j (g - g*) from the monolithic
+reference, by convolution with the subdomain's Robin impulse responses,
+which are computed without time stepping.  The reference is only the
+error's yardstick and the base of the merged field.  These tests compare
+that against direct solves and against the step-by-step iteration it
 replaced, kept here as the reference: that one exchanges interface traces
 and variationally recovered fluxes, where ``oswr_iterate`` exchanges
-Robin data only.  They also pin the iteration's calls: one error
-evaluation per iteration, one flux recovery per interface at most.
+Robin data only.  They also pin the iteration's calls: no time stepping
+and a fixed number of tridiagonal solves per case, one error evaluation
+per iteration, one flux recovery per interface at most.
 """
 
 import numpy as np
 import pytest
 
+import oswr.fem as fem
 import oswr.schwarz as schwarz
 from oswr.fem import (
     DiffusionProfile,
@@ -189,15 +191,15 @@ def test_superposition_matches_direct_solve(rng, sides, lumped_mass):
         assert np.abs(flux - (series[side] - sigmas[side] * u_end)).max() <= 1e-12
 
 
-def _small_case(n_interfaces):
+def _small_case(n_interfaces, time_step=0.125):
     mesh = Mesh1D.uniform(0.0, 1.0, 12)
     interfaces = [0.5] if n_interfaces == 1 else [0.25, 0.5]
     layers = (1.0, 0.1) if n_interfaces == 1 else (1.0, 0.1, 0.01)
     problem = HeatProblem(
-        DiffusionProfile(layers, tuple(interfaces)), None, 20.0, 0.0, 0.0, 1.0, 0.125
+        DiffusionProfile(layers, tuple(interfaces)), None, 20.0, 0.0, 0.0, 1.0, time_step
     )
     deco = decompose(mesh, interfaces)
-    band = frequency_band_from_grid(1.0, 0.125)
+    band = frequency_band_from_grid(1.0, time_step)
     params = [
         interface_params_for("I", band, pair)
         for pair in interface_diffusion_pairs(problem, deco)
@@ -205,37 +207,46 @@ def _small_case(n_interfaces):
     return problem, deco, params, solve_monolithic(problem, mesh)
 
 
-def _counting(monkeypatch, name):
-    """Replace ``schwarz.<name>`` by a wrapper; returns its list of calls."""
+def _counting(monkeypatch, name, owner=schwarz):
+    """Replace ``owner.<name>`` by a wrapper; returns its list of calls."""
     calls = []
-    fn = getattr(schwarz, name)
+    fn = getattr(owner, name)
 
     def counting(*args, **kwargs):
         calls.append(1)
         return fn(*args, **kwargs)
 
-    monkeypatch.setattr(schwarz, name, counting)
+    monkeypatch.setattr(owner, name, counting)
     return calls
 
 
+@pytest.mark.parametrize("time_step", [0.125, 1.0 / 64.0])
 @pytest.mark.parametrize("n_interfaces", [1, 2])
-def test_time_stepping_once_per_case(monkeypatch, n_interfaces):
-    problem, deco, params, reference = _small_case(n_interfaces)
-    calls = _counting(monkeypatch, "solve_subdomain_robin")
+def test_no_time_stepping_and_fixed_solve_count_per_case(
+    monkeypatch, n_interfaces, time_step
+):
+    """Given the reference, a case steps nothing in time: it makes one
+    tridiagonal solve per node and per Robin end of each subdomain, however
+    many steps and iterations it runs."""
+    problem, deco, params, reference = _small_case(n_interfaces, time_step)
+    robin_solves = [
+        _counting(monkeypatch, "solve_subdomain_robin", owner) for owner in (fem, schwarz)
+    ]
+    solves = _counting(monkeypatch, "solve", fem.TridiagonalSolver)
 
     def no_monolithic(*args, **kwargs):
         raise AssertionError("the given reference must not be solved again")
 
     monkeypatch.setattr(schwarz, "solve_monolithic", no_monolithic)
-    # one impulse solve per Robin end; the affine part comes from the reference
-    expected = 2 * n_interfaces
+    expected = sum(mesh.n_nodes for mesh in deco.submeshes) + 2 * n_interfaces
     for max_iter in (1, 7):
-        calls.clear()
+        solves.clear()
         history, _ = oswr_iterate(
             problem, deco, params, tol=1e-300, max_iter=max_iter, reference=reference
         )
         assert len(history.errors) == max_iter
-        assert len(calls) == expected
+        assert robin_solves == [[], []]
+        assert len(solves) == expected
 
 
 @pytest.mark.parametrize("init", schwarz.INIT_MODES)
