@@ -53,7 +53,6 @@ from .schwarz import (
     combined_error,
     decompose,
     interface_diffusion_pairs,
-    interface_params_for,
     oswr_iterate,
 )
 
@@ -94,7 +93,6 @@ __all__ = [
     "combined_error",
     "decompose",
     "interface_diffusion_pairs",
-    "interface_params_for",
     "oswr_iterate",
 ]
 

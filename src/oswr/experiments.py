@@ -18,7 +18,14 @@ import numpy as np
 
 from .fem import DiffusionProfile, HeatProblem, Mesh1D, SpaceTimeField, solve_monolithic
 from .frequency import DiffusionPair, frequency_band_from_grid, rho
-from .optimize import VERSIONS, OptimizationError, optimize, optimize_v3, v3_equation_sides
+from .optimize import (
+    VERSIONS,
+    OptimizationError,
+    optimize,
+    optimize_v3,
+    v3_bracket,
+    v3_equation_sides,
+)
 from .schwarz import (
     INIT_MODES,
     SWEEP_MODES,
@@ -566,13 +573,13 @@ def run_v3_root_scan(cfg: ExperimentConfig) -> list[str]:
 
     Writes the pointwise left/right sides and residual, plus a one-row
     summary with the sign-change count and the root located by bisection.
-    Raises ScenarioError unless exactly one sign change is found.
+    A jump mu < 1 is scanned as 1/mu, the orientation both the bracket and
+    the bisection work in.  Raises ScenarioError unless exactly one sign
+    change is found.
     """
     band = frequency_band_from_grid(cfg.final_time, cfg.dt)
-    mu = cfg.mu
-    p_lo = band.wt1 * (math.sqrt(mu * mu + 1.0) - (mu - 1.0))
-    p_hi = math.sqrt(2.0 * band.wt1 * band.wt2)
-    ps = np.linspace(p_lo + 1e-9 * (p_hi - p_lo), p_hi, cfg.scan_points)
+    mu = max(cfg.mu, 1.0 / cfg.mu)
+    ps = np.linspace(*v3_bracket(band, mu), cfg.scan_points)
     lhs, rhs = v3_equation_sides(ps, band, mu)
     residual = lhs - rhs
     sign = np.sign(residual)

@@ -521,13 +521,12 @@ def robin_impulse_responses(
 
 def variational_flux(
     field: SpaceTimeField,
-    mesh: Mesh1D,
     diffusion: DiffusionProfile,
     end: str,
     source: Callable | None = None,
     lumped_mass: bool = False,
 ) -> np.ndarray:
-    """Outward flux nu*du/dn at one end, recovered from the boundary residual.
+    """Outward flux nu*du/dn at one end of field.mesh, from the boundary residual.
 
     At each level k+1 the flux is the value that makes the weak equation
     tested with the boundary hat function exact:
@@ -542,10 +541,7 @@ def variational_flux(
     """
     if end not in ("left", "right"):
         raise ValueError("end must be 'left' or 'right'")
-    if field.mesh.n_nodes != mesh.n_nodes or not np.array_equal(
-        field.mesh.nodes, mesh.nodes
-    ):
-        raise ValueError("field was not produced on this mesh")
+    mesh = field.mesh
     mass, stiffness = assemble_operators(mesh, diffusion, lumped_mass)
     U = field.values
     dt = field.time_step

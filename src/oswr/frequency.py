@@ -222,6 +222,18 @@ def rho(wt, params: TransmissionParams, diff: DiffusionPair):
     return out
 
 
+def _version_i_split_roots(mu: float) -> tuple[float, float]:
+    """delta and outer = sqrt((mu - 1)^2 + delta) of Version I, for mu > MU_SPLIT.
+
+    delta = sqrt((mu^2 - 4 mu + 1)(mu^2 + 1)) is real beyond the split.
+    Since (mu - 1)^4 - delta^2 = 4 mu^2, the companion root
+    sqrt((mu - 1)^2 - delta) is taken as 2 mu / outer: the difference itself
+    cancels, and comes out negative for some mu beyond about 2e8.
+    """
+    delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
+    return delta, math.sqrt((mu - 1.0) ** 2 + delta)
+
+
 def _stationary_frequencies(version: str, v, mu: float) -> list:
     """Stationary frequencies of rho for Version I (v = p) or II (v = q).
 
@@ -232,9 +244,7 @@ def _stationary_frequencies(version: str, v, mu: float) -> list:
         return [v / math.sqrt(2.0)]
     points = [v / math.sqrt(2.0 * mu)]
     if mu > MU_SPLIT:
-        delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
-        # sqrt((mu - 1)^2 - delta) = 2 mu / outer without cancellation
-        outer = math.sqrt((mu - 1.0) ** 2 + delta)
+        _, outer = _version_i_split_roots(mu)
         points.append(v / outer)
         points.append(v * outer / (2.0 * mu))
     return points

@@ -15,7 +15,10 @@ into a closed form or a scalar root-finding problem:
 * Version III (sigma1 = sqrt(nu2)*p, sigma2 = sqrt(nu1)*q): endpoint
   equioscillation forces p*q = 2*wt1*wt2; the remaining equation (equal
   values at wt1 and at the geometric midpoint) is solved by bracketed
-  bisection, yielding a three-point equioscillation.
+  bisection, yielding a three-point equioscillation.  The bisection runs
+  until its bracket collapses to two adjacent doubles (or hits an exact
+  zero), so no residual tolerance has to match the residual's scale,
+  which shrinks with mu.
 
 A brute-force grid oracle over the restricted parameter ranges certifies
 the analytic optima.
@@ -36,6 +39,7 @@ from .frequency import (
     _rho_sq,
     _rho_sq_factor,
     _stationary_frequencies,
+    _version_i_split_roots,
     rho,
 )
 
@@ -51,6 +55,7 @@ __all__ = [
     "optimize_v1",
     "optimize_v2",
     "optimize_v3",
+    "v3_bracket",
     "v3_equation_sides",
     "v3_residual",
     "restriction_intervals_v3",
@@ -60,7 +65,6 @@ __all__ = [
 
 # Bisection controls for the Version III scalar equation.
 V3_BRACKET_SHRINK = 1e-9
-V3_RESIDUAL_TOL = 1e-14
 V3_MAX_BISECTIONS = 200
 
 
@@ -77,24 +81,13 @@ class CaseDataError(ValueError):
     """
 
 
-def _interior_level(mu: float) -> float:
-    """Value of rho at its interior hump for the one-parameter scaling.
-
-    Depends on mu only: substituting wt = p/sqrt(2*mu) into rho cancels p.
-    """
-    a = math.sqrt(2.0 * mu)
-    s2 = math.sqrt(2.0)
-    sm = math.sqrt(mu)
-    return math.sqrt(
-        ((a - 1.0) ** 2 + 1.0)
-        / ((s2 + sm) ** 2 + mu)
-        * ((s2 - sm) ** 2 + mu)
-        / ((a + 1.0) ** 2 + 1.0)
-    )
-
-
 def _endpoint_level(mu: float, k_r: float) -> float:
-    """rho at wt1 when p sits at the upper end sqrt(2*mu)*wt2 of the center range."""
+    """rho at wt1 when p sits at the upper end sqrt(2*mu)*wt2 of the center range.
+
+    At k_r = 1 this is the interior hump level of the one-parameter scaling,
+    which depends on mu only: substituting wt = p/sqrt(2*mu) into rho
+    cancels p.
+    """
     a = math.sqrt(2.0 * mu)
     s2 = math.sqrt(2.0)
     sm = math.sqrt(mu)
@@ -138,13 +131,13 @@ def version_i_case_data(band: FrequencyBand, mu: float) -> VersionICaseData:
     k_r = band.k_r
     a = math.sqrt(2.0 * mu)
     center = (a * wt1, a * wt2)
-    r_c = _interior_level(mu)
+    r_c = _endpoint_level(mu, 1.0)
     r_ext = _endpoint_level(mu, k_r)
     if mu <= MU_SPLIT:
         return VersionICaseData(
             mu, k_r, "small_mu", None, None, None, None, center, None, r_c, r_ext
         )
-    delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
+    delta, _ = _version_i_split_roots(mu)
     h1 = (
         mu * mu
         + 1.0
@@ -201,11 +194,7 @@ def restriction_interval_v1(band: FrequencyBand, mu: float) -> tuple[float, floa
     if mu <= MU_SPLIT:
         a = math.sqrt(2.0 * mu)
         return (a * wt1, a * wt2)
-    delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
-    # (mu - 1)^4 - delta^2 = 4 mu^2, so sqrt((mu - 1)^2 - delta) is taken as
-    # 2 mu / sqrt((mu - 1)^2 + delta): the difference itself cancels, and
-    # comes out negative for some mu beyond about 2e8.
-    outer = math.sqrt((mu - 1.0) ** 2 + delta)
+    _, outer = _version_i_split_roots(mu)
     return (wt1 * 2.0 * mu / outer, wt2 * outer)
 
 
@@ -305,6 +294,19 @@ def restriction_intervals_v3(
     return ((wt1 * p_scale, wt2 * p_scale), (wt1 * q_scale, wt2 * q_scale))
 
 
+def v3_bracket(band: FrequencyBand, mu: float) -> tuple[float, float]:
+    """Bisection bracket of the Version III scalar equation, for mu >= 1.
+
+    Runs from the lower end p_lo of the p range of
+    ``restriction_intervals_v3`` to p_hi = sqrt(2*wt1*wt2), with the left
+    end moved V3_BRACKET_SHRINK * (p_hi - p_lo) inward to stay away from
+    the p = 0 root of the equation.
+    """
+    (p_lo, _), _ = restriction_intervals_v3(band, mu)
+    p_hi = math.sqrt(2.0 * band.wt1 * band.wt2)
+    return (p_lo + V3_BRACKET_SHRINK * (p_hi - p_lo), p_hi)
+
+
 def v3_equation_sides(p, band: FrequencyBand, mu: float):
     """Left and right sides of the Version III scalar equation at p.
 
@@ -334,14 +336,6 @@ def v3_residual(p, band: FrequencyBand, mu: float):
     if np.isscalar(p) or np.asarray(p).ndim == 0:
         return float(out)
     return out
-
-
-def _v3_point_solution(wt: float, mu: float) -> tuple[float, float]:
-    """Minimizer of rho at a single frequency: both partials vanish."""
-    root = math.sqrt(mu * mu + 1.0)
-    p = wt * (root - (mu - 1.0))
-    q = wt * (root + (mu - 1.0)) / mu
-    return p, q
 
 
 def _v3_curve_max(p, band: FrequencyBand, mu: float):
@@ -391,12 +385,15 @@ def _v3_minimize_endpoint_level(a: float, b: float, band: FrequencyBand, mu: flo
 def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     """Best two-parameter cross scaling via bracketed bisection.
 
-    Normalizes to mu > 1, solves the scalar equation on
-    I_p = [wt1*(sqrt(mu^2+1) - (mu-1)), sqrt(2*wt1*wt2)], recovers
-    q = 2*wt1*wt2/p, and swaps (p, q) back when the input pair had
-    nu1 < nu2.  The scalar equation has a root whenever the band is wide
-    enough (k_r of roughly 6 and beyond); for narrower bands the endpoint
-    level is minimized along the constraint curve instead.  Raises
+    Normalizes to mu > 1, solves the scalar equation on ``v3_bracket``,
+    recovers q = 2*wt1*wt2/p, and swaps (p, q) back when the input pair
+    had nu1 < nu2.  The bisection halves the bracket until its midpoint no
+    longer splits it, so the root is located to one unit in the last place
+    whatever the residual's scale.  The scalar equation has a root whenever
+    the band is wide enough (k_r of roughly 6 and beyond); for narrower
+    bands the endpoint level is minimized along the constraint curve
+    instead; on a degenerate band both ranges of
+    ``restriction_intervals_v3`` shrink to the point minimizer.  Raises
     OptimizationError on inconsistent residual signs or a stalled
     bisection.
     """
@@ -414,18 +411,15 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
         )
 
     if band.degenerate:
-        p_n, q_n = _v3_point_solution(wt1, mu)
+        (p_n, _), (q_n, _) = restriction_intervals_v3(band, mu)
         return build(p_n, q_n)
     if mu == 1.0:
         # Versions II and III coincide (gamma = 1).
         q_star = math.sqrt(2.0 * wt1 * wt2)
         return build(q_star, q_star)
 
-    p_lo = wt1 * (math.sqrt(mu * mu + 1.0) - (mu - 1.0))
-    p_hi = math.sqrt(2.0 * wt1 * wt2)
-    # Shrink the left end to stay away from the p = 0 root of the equation.
-    a = p_lo + V3_BRACKET_SHRINK * (p_hi - p_lo)
-    b = p_hi
+    bracket = v3_bracket(band, mu)
+    a, b = bracket
     fa = v3_residual(a, band, mu)
     fb = v3_residual(b, band, mu)
     history: list[float] = [fa, fb]
@@ -451,11 +445,11 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
         for _ in range(V3_MAX_BISECTIONS):
             mid = 0.5 * (a + b)
             if mid <= a or mid >= b:
-                root = mid  # bracket collapsed to machine precision
+                root = mid  # a and b are adjacent doubles
                 break
             fm = v3_residual(mid, band, mu)
             history.append(fm)
-            if abs(fm) <= V3_RESIDUAL_TOL:
+            if fm == 0.0:
                 root = mid
                 break
             if fa * fm < 0.0:
@@ -468,12 +462,7 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
                 f"iterations (bracket [{a}, {b}])"
             )
     q_root = 2.0 * wt1 * wt2 / root
-    return build(
-        root,
-        q_root,
-        bracket=(p_lo + V3_BRACKET_SHRINK * (p_hi - p_lo), p_hi),
-        residual_history=tuple(history),
-    )
+    return build(root, q_root, bracket=bracket, residual_history=tuple(history))
 
 
 _OPTIMIZERS = {"I": optimize_v1, "II": optimize_v2, "III": optimize_v3}

@@ -51,8 +51,7 @@ from .fem import (
     solve_subdomain_robin,  # noqa: F401
     variational_flux,
 )
-from .frequency import DiffusionPair, FrequencyBand, TransmissionParams
-from .optimize import optimize
+from .frequency import DiffusionPair, TransmissionParams
 
 __all__ = [
     "IterationDiverged",
@@ -60,7 +59,6 @@ __all__ = [
     "ConvergenceHistory",
     "decompose",
     "combined_error",
-    "interface_params_for",
     "interface_diffusion_pairs",
     "oswr_iterate",
 ]
@@ -145,13 +143,6 @@ def combined_error(deviations) -> float:
     return float(np.max([np.abs(dev).max() for dev in deviations]))
 
 
-def interface_params_for(
-    version: str, band: FrequencyBand, local_pair: DiffusionPair
-) -> TransmissionParams:
-    """Optimized coefficients for one interface from its adjacent diffusion pair."""
-    return optimize(version, band, local_pair).params
-
-
 def interface_diffusion_pairs(
     problem: HeatProblem, decomposition: Decomposition
 ) -> list[DiffusionPair]:
@@ -194,7 +185,6 @@ def _initial_robin_error(
         # negative, as the global interface row sums the two boundary rows.
         flux = variational_flux(
             SpaceTimeField(mesh, problem.time_step, reference.values[:, lo:hi]),
-            mesh,
             problem.diffusion,
             "right",
             problem.source,

@@ -41,7 +41,6 @@ from oswr.optimize import (
 from oswr.schwarz import (
     decompose,
     interface_diffusion_pairs,
-    interface_params_for,
     oswr_iterate,
 )
 
@@ -316,7 +315,7 @@ def test_criterion_11_three_layer_stack():
     pairs = interface_diffusion_pairs(problem, deco)
     counts = {}
     for version in ("I", "II", "III"):
-        params = [interface_params_for(version, REF_BAND, p) for p in pairs]
+        params = [optimize(version, REF_BAND, p).params for p in pairs]
         history, combined = oswr_iterate(
             problem, deco, params, tol=1e-8, max_iter=1000, reference=reference
         )

@@ -5,6 +5,7 @@ import importlib.util
 import math
 import os
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +27,8 @@ from oswr.experiments import (
     run_v3_root_scan,
 )
 from oswr.fem import solve_monolithic
-from oswr.optimize import VERSIONS
+from oswr.frequency import frequency_band_from_grid
+from oswr.optimize import VERSIONS, v3_bracket
 from oswr.schwarz import INIT_MODES, SWEEP_MODES
 
 
@@ -289,6 +291,22 @@ def test_v3_root_scan_outputs_and_refinement(tmp_path):
     )
     _, summary_fine = _read_rows(run_v3_root_scan(cfg_fine)[1])
     assert abs(float(summary_fine[0][1]) - float(scan_root)) < 1e-3
+
+
+def test_v3_root_scan_spans_the_optimizer_bracket_in_either_orientation(tmp_path):
+    def scan(mu):
+        cfg = ExperimentConfig(
+            scenario="v3_root_scan", mu=mu, scan_points=500, out_dir=str(tmp_path / f"{mu}")
+        )
+        paths = run_v3_root_scan(cfg)
+        return cfg, paths, [Path(path).read_bytes() for path in paths]
+
+    cfg, paths, written = scan(2.0)
+    # a jump below 1 is the same problem seen from the other side
+    assert scan(0.5)[2] == written
+    _, rows = _read_rows(paths[0])
+    band = frequency_band_from_grid(cfg.final_time, cfg.dt)
+    assert (float(rows[0][0]), float(rows[-1][0])) == v3_bracket(band, 2.0)
 
 
 def test_v3_root_scan_flags_missing_sign_change(tmp_path):

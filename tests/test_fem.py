@@ -268,7 +268,7 @@ def test_robin_zero_data_stays_zero():
     zero = RobinBoundaryData("right", 1.0, np.zeros(4))
     field = solve_subdomain_robin(problem, mesh, 0.0, zero)
     assert np.all(field.values == 0.0)
-    assert np.all(variational_flux(field, mesh, problem.diffusion, "right") == 0.0)
+    assert np.all(variational_flux(field, problem.diffusion, "right") == 0.0)
 
 
 def test_robin_data_validation():
@@ -292,7 +292,7 @@ def test_robin_reproduces_global_solution_from_manufactured_data():
     reference = solve_monolithic(problem, mesh)
     sub = Mesh1D.from_nodes(mesh.nodes[: 21])
     restriction = SpaceTimeField(sub, problem.time_step, reference.values[:, :21])
-    flux = variational_flux(restriction, sub, problem.diffusion, "right")
+    flux = variational_flux(restriction, problem.diffusion, "right")
     for sigma in (0.3, 1.7, 12.0):
         data = RobinBoundaryData("right", sigma, sigma * reference.values[1:, 20] + flux)
         field = solve_subdomain_robin(problem, sub, 0.0, data)
@@ -391,23 +391,20 @@ def test_impulse_responses_validate_their_ends():
 def test_variational_flux_steady_linear_profile():
     mesh = Mesh1D.uniform(0.0, 1.0, 10)
     steady = SpaceTimeField(mesh, 0.1, np.tile(mesh.nodes, (3, 1)))
-    flux_right = variational_flux(steady, mesh, DiffusionProfile.constant(1.0), "right")
+    flux_right = variational_flux(steady, DiffusionProfile.constant(1.0), "right")
     assert np.abs(flux_right - 1.0).max() <= 1e-12
-    flux_left = variational_flux(steady, mesh, DiffusionProfile.constant(1.0), "left")
+    flux_left = variational_flux(steady, DiffusionProfile.constant(1.0), "left")
     assert np.abs(flux_left + 1.0).max() <= 1e-12  # outward normal points left
 
 
 def test_variational_flux_zero_field():
     mesh = Mesh1D.uniform(0.0, 1.0, 10)
     zero = SpaceTimeField(mesh, 0.1, np.zeros((4, mesh.n_nodes)))
-    assert np.all(variational_flux(zero, mesh, DiffusionProfile.constant(2.0), "right") == 0.0)
+    assert np.all(variational_flux(zero, DiffusionProfile.constant(2.0), "right") == 0.0)
 
 
-def test_variational_flux_validates_mesh_and_end():
+def test_variational_flux_validates_end():
     mesh = Mesh1D.uniform(0.0, 1.0, 10)
-    other = Mesh1D.uniform(0.0, 1.0, 11)
     field = SpaceTimeField(mesh, 0.1, np.zeros((4, mesh.n_nodes)))
     with pytest.raises(ValueError):
-        variational_flux(field, other, DiffusionProfile.constant(1.0), "right")
-    with pytest.raises(ValueError):
-        variational_flux(field, mesh, DiffusionProfile.constant(1.0), "middle")
+        variational_flux(field, DiffusionProfile.constant(1.0), "middle")

@@ -28,6 +28,7 @@ from oswr.optimize import (
     quartic_positive_roots,
     restriction_interval_v1,
     restriction_intervals_v3,
+    v3_bracket,
     v3_equation_sides,
     v3_residual,
     version_i_case_data,
@@ -320,6 +321,7 @@ def test_optimize_v3_reference_case_certified():
     hi = math.sqrt(2.0 * REF_BAND.wt1 * REF_BAND.wt2)
     assert lo <= res.params.p <= hi
     assert res.bracket == (pytest.approx(lo, rel=1e-8), pytest.approx(hi))
+    assert res.bracket == v3_bracket(REF_BAND, mu)
     # frozen from a refined 400x400 two-parameter grid oracle (agrees to ~4e-4)
     assert res.params.p == pytest.approx(0.6561104893754226, abs=1e-9)
     assert res.params.q == pytest.approx(9.576413437865927, abs=1e-7)
@@ -449,19 +451,30 @@ def test_oracle_consistency_all_versions(rng):
             assert analytic.rho_star <= oracle_val + 1e-3
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="known defect: the grid oracle beats the analytic Version III optimum",
-)
-@pytest.mark.parametrize("ratio", [1e6, 1e8])
+CERTIFY_RATIOS = (10.0, 1e2, 1e4, 1e6, 1e8)
+
+
+@pytest.mark.parametrize("ratio", CERTIFY_RATIOS)
 def test_version3_optimum_certified_at_extreme_ratios(ratio):
-    # Measured at T=5, dt=1/40 on the 512x128 grid: analytic 7.388e-4 vs
-    # oracle 7.361e-4 at 1e6, 1.836e-4 vs 7.364e-5 at 1e8.  The oracle test
-    # above stops at 1e4 with an absolute slack larger than these values.
+    # The oracle test above stops at 1e4 with an absolute slack larger than
+    # rho* itself at the large ratios (7.4e-4 at 1e6, 7.4e-5 at 1e8 on this
+    # band), so this one allows rounding only; the residual's scale shrinks
+    # with mu, so the bisection must not stop on an absolute residual.
     diff = DiffusionPair(1.0, 1.0 / ratio)
     analytic = optimize("III", REF_BAND, diff)
     _, oracle_val = brute_force_minmax(REF_BAND, diff, "III", 512, 128)
     assert analytic.rho_star <= oracle_val * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize("ratio", CERTIFY_RATIOS)
+def test_version3_bisection_brackets_root_to_one_ulp(ratio):
+    # The returned p is a root of the scalar equation up to one unit in the
+    # last place: the residual is 0 there or flips sign at a neighbor.
+    mu = math.sqrt(ratio)
+    p = optimize_v3(REF_BAND, DiffusionPair(1.0, 1.0 / ratio)).params.p
+    at_p = v3_residual(p, REF_BAND, mu)
+    neighbors = [v3_residual(math.nextafter(p, t), REF_BAND, mu) for t in (0.0, math.inf)]
+    assert at_p == 0.0 or any((at_p > 0.0) != (r > 0.0) for r in neighbors)
 
 
 # -------------------------------------------------------------- invariants

@@ -24,7 +24,6 @@ from oswr.schwarz import (
     combined_error,
     decompose,
     interface_diffusion_pairs,
-    interface_params_for,
     oswr_iterate,
 )
 
@@ -222,13 +221,6 @@ def test_monotone_error_decrease_under_sufficient_condition(rng):
 # ------------------------------------------------------- interface plumbing
 
 
-def test_interface_params_match_direct_optimizer():
-    pair = DiffusionPair(1.0, 0.01)
-    direct = optimize("III", REF_BAND, pair).params
-    via = interface_params_for("III", REF_BAND, pair)
-    assert via == direct
-
-
 def test_interface_pairs_three_layers():
     mesh = Mesh1D.uniform(0.0, 1.0, 100)
     problem = HeatProblem(
@@ -238,7 +230,7 @@ def test_interface_pairs_three_layers():
     pairs = interface_diffusion_pairs(problem, deco)
     assert [(p.nu1, p.nu2) for p in pairs] == [(1.0, 1e-2), (1e-2, 1e-3)]
     for version in ("I", "II", "III"):
-        params = [interface_params_for(version, REF_BAND, p) for p in pairs]
+        params = [optimize(version, REF_BAND, p).params for p in pairs]
         assert params[0] != params[1]
         for prm, pr in zip(params, pairs):
             # nu2 < nu1 at both interfaces: the left coefficient never exceeds the right
@@ -248,8 +240,8 @@ def test_interface_pairs_three_layers():
 
 def test_interface_params_equal_coefficients_coincide():
     pair = DiffusionPair(0.5, 0.5)
-    v2 = interface_params_for("II", REF_BAND, pair)
-    v3 = interface_params_for("III", REF_BAND, pair)
+    v2 = optimize("II", REF_BAND, pair).params
+    v3 = optimize("III", REF_BAND, pair).params
     assert v2.sigma1 == pytest.approx(v3.sigma1, rel=1e-14)
     assert v2.sigma2 == pytest.approx(v3.sigma2, rel=1e-14)
     assert v3.gamma == pytest.approx(1.0, rel=1e-14)
@@ -263,7 +255,7 @@ def test_three_subdomain_iteration_matches_monolithic():
     deco = decompose(mesh, [0.2, 0.4])
     reference = solve_monolithic(problem, mesh)
     pairs = interface_diffusion_pairs(problem, deco)
-    params = [interface_params_for("III", REF_BAND, p) for p in pairs]
+    params = [optimize("III", REF_BAND, p).params for p in pairs]
     history, combined = oswr_iterate(
         problem, deco, params, tol=1e-8, max_iter=200, reference=reference
     )

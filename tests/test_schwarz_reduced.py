@@ -29,10 +29,10 @@ from oswr.fem import (
     variational_flux,
 )
 from oswr.frequency import frequency_band_from_grid
+from oswr.optimize import optimize
 from oswr.schwarz import (
     decompose,
     interface_diffusion_pairs,
-    interface_params_for,
     oswr_iterate,
 )
 
@@ -69,7 +69,7 @@ def _three_layers(with_source=False):
         problem = HeatProblem(diffusion, None, 20.0, 0.0, 50.0, 5.0, 1.0 / 40.0)
     deco = decompose(mesh, [0.2, 0.4])
     params = [
-        interface_params_for("III", REF_BAND, pair)
+        optimize("III", REF_BAND, pair).params
         for pair in interface_diffusion_pairs(problem, deco)
     ]
     return problem, deco, params, solve_monolithic(problem, mesh)
@@ -78,7 +78,7 @@ def _three_layers(with_source=False):
 def _outward_flux(problem, mesh, values, end):
     field = SpaceTimeField(mesh, problem.time_step, values)
     return variational_flux(
-        field, mesh, problem.diffusion, end, problem.source, problem.lumped_mass
+        field, problem.diffusion, end, problem.source, problem.lumped_mass
     )
 
 
@@ -201,7 +201,7 @@ def _small_case(n_interfaces, time_step=0.125):
     deco = decompose(mesh, interfaces)
     band = frequency_band_from_grid(1.0, time_step)
     params = [
-        interface_params_for("I", band, pair)
+        optimize("I", band, pair).params
         for pair in interface_diffusion_pairs(problem, deco)
     ]
     return problem, deco, params, solve_monolithic(problem, mesh)
