@@ -1,8 +1,10 @@
 """Command-line harness: one subcommand per scenario plus ``run <config>``.
 
 Exit codes: 0 on success, 1 for configuration errors, 2 for runtime or
-divergence errors.  Flags override configuration-file keys and are read
-like them, so a malformed flag value is a configuration error too.
+divergence errors and for usage errors.  Flags override configuration-file
+keys and are read like them, so a malformed flag value is a configuration
+error too; the exception is a value outside the choices of ``--init`` or
+``--sweep``, which argparse rejects as a usage error.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .experiments import (
     tps_defaults,
 )
 from .optimize import OptimizationError
-from .schwarz import INIT_MODES, SWEEP_MODES, IterationDiverged
+from .schwarz import IterationDiverged
 
 _SCENARIO_COMMANDS = {
     "ratio-sweep": "ratio_sweep",
@@ -33,9 +35,6 @@ _SCENARIO_COMMANDS = {
     "tps": "tps_three_layer",
     "custom": "custom",
 }
-
-
-_FLAG_CHOICES = {"init": INIT_MODES, "sweep": SWEEP_MODES}
 
 
 def _config_text(value) -> str:
@@ -52,7 +51,7 @@ def _epilog() -> str:
         "every key but scenario is also a flag: --key, with '-' for '_'), with defaults:",
     ]
     for key in CONFIG_KEYS:
-        value = getattr(defaults, key.field)
+        value = getattr(defaults, key.name)
         entry = key.name if value is None else f"{key.name}={_config_text(value)}"
         lines.append(f"  {entry:<31} {key.help}")
     lines.append("ratios default per scenario:")
@@ -66,7 +65,7 @@ def _add_override_flags(parser: argparse.ArgumentParser) -> None:
             parser.add_argument(
                 "--" + key.name.replace("_", "-"),
                 dest=key.name,
-                choices=_FLAG_CHOICES.get(key.name),
+                choices=key.choices if key.kind == "str" else None,
                 help=key.help,
             )
 
@@ -102,7 +101,7 @@ def main(argv=None) -> int:
         for key in CONFIG_KEYS:
             raw = getattr(args, key.name, None)
             if raw is not None:
-                setattr(cfg, key.field, key.parse(raw))
+                setattr(cfg, key.name, key.parse(raw))
                 flags.append(key.name)
         cfg.validate()
         reject_unread_keys(cfg.scenario, flags)

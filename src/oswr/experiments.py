@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, NamedTuple
 
 import numpy as np
@@ -69,125 +69,42 @@ DEFAULT_RATIOS = {
 }
 
 
-def _one_of(choices: tuple[str, ...]) -> str:
-    """'a, b or c' for an error message."""
-    return f"{', '.join(choices[:-1])} or {choices[-1]}"
+# The scenarios, in the order error messages list them, and groups of them
+# for the keys' ``read_by``.
+_SWEEPS = ("ratio_sweep", "dt_sweep", "dx_sweep")
+_LAYERED = ("custom", "tps_three_layer")
+_WR = _SWEEPS + _LAYERED  # the scenarios that run the waveform relaxation
+SCENARIOS = _SWEEPS + ("rho_curves", "v3_root_scan", "tps_three_layer", "custom")
 
-
-@dataclass
-class ExperimentConfig:
-    """Validated settings for one scenario run.
-
-    ``ratios`` left as None picks the scenario's default list.  For the
-    layered scenarios (``tps_three_layer``, ``custom``) the diffusion field
-    is given by ``nu_layers`` split at ``interfaces``; the two-domain sweeps
-    use ``nu1`` on the left and ``nu1/ratio`` on the right of the single
-    interface.
-    """
-
-    scenario: str = "ratio_sweep"
-    final_time: float = 5.0
-    dx: float = 1.0 / 40.0
-    dt: float = 1.0 / 40.0
-    dt_list: tuple[float, ...] = (1.0 / 20.0, 1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0)
-    dx_list: tuple[float, ...] = (1.0 / 20.0, 1.0 / 40.0, 1.0 / 80.0)
-    ratios: tuple[float, ...] | None = None
-    nu1: float = 1.0
-    nu_layers: tuple[float, ...] = ()
-    interfaces: tuple[float, ...] = (0.5,)
-    versions: tuple[str, ...] = ("I", "II", "III")
-    initial_value: float = 20.0
-    bc_left: float = 0.0
-    bc_right: float = 0.0
-    tolerance: float = 1e-8
-    max_iter: int = 1000
-    init: str = "zero"
-    sweep: str = "gauss_seidel"
-    out_dir: str | None = None
-    rho_points: int = 512
-    scan_points: int = 1000
-    mu: float = math.sqrt(10.0)
-
-    def validate(self) -> None:
-        def positive(key, value):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
-                raise ConfigError(f"{key} must be positive, got {value!r}")
-
-        if self.scenario not in SCENARIOS:
-            raise ConfigError(
-                f"scenario must be one of {', '.join(SCENARIOS)}, got {self.scenario!r}"
-            )
-        positive("T", self.final_time)
-        positive("dx", self.dx)
-        positive("dt", self.dt)
-        positive("nu1", self.nu1)
-        positive("tolerance", self.tolerance)
-        positive("mu", self.mu)
-        for key, value in (
-            ("u0", self.initial_value), ("g_left", self.bc_left), ("g_right", self.bc_right)
-        ):
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
-        for key, seq in (("dts", self.dt_list), ("dxs", self.dx_list)):
-            if not seq:
-                raise ConfigError(f"{key} must not be empty")
-            for v in seq:
-                positive(key, v)
-        if self.ratios is not None:
-            if not self.ratios:
-                raise ConfigError("ratios must not be empty")
-            for v in self.ratios:
-                positive("ratios", v)
-        for v in self.nu_layers:
-            positive("nu_layers", v)
-        if not self.interfaces:
-            raise ConfigError("interfaces must not be empty")
-        if list(self.interfaces) != sorted(set(self.interfaces)):
-            raise ConfigError("interfaces must be strictly increasing")
-        for v in self.interfaces:
-            if not (0.0 < v < 1.0):
-                raise ConfigError(f"interfaces must lie inside (0, 1), got {v}")
-        bad = [v for v in self.versions if v not in VERSIONS]
-        if bad or not self.versions:
-            raise ConfigError(
-                f"versions must be a nonempty subset of {','.join(VERSIONS)}, got {self.versions!r}"
-            )
-        if self.max_iter < 1:
-            raise ConfigError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.init not in INIT_MODES:
-            raise ConfigError(f"init must be {_one_of(INIT_MODES)}, got {self.init!r}")
-        if self.sweep not in SWEEP_MODES:
-            raise ConfigError(f"sweep must be {_one_of(SWEEP_MODES)}, got {self.sweep!r}")
-        if self.scenario == "rho_curves" and self.rho_points < 500:
-            raise ConfigError("rho_points must be >= 500 for rho_curves")
-        if self.scenario == "v3_root_scan" and self.scan_points < 500:
-            raise ConfigError("scan_points must be >= 500 for v3_root_scan")
-        if self.scenario in ("tps_three_layer", "custom"):
-            if len(self.nu_layers) != len(self.interfaces) + 1:
-                raise ConfigError(
-                    "nu_layers must have exactly one more entry than interfaces"
-                )
-
-    def effective_ratios(self) -> tuple[float, ...]:
-        if self.ratios is not None:
-            return self.ratios
-        return DEFAULT_RATIOS.get(self.scenario, (10.0,))
+# A key's own rule, named by the words its error message uses.
+_RULES = {
+    "positive": lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
+    "finite": math.isfinite,
+    ">= 1": lambda v: v >= 1,
+}
 
 
 class ConfigKey(NamedTuple):
-    """One configuration key: its ``ExperimentConfig`` field, kind and help.
+    """One configuration key, as its ``ExperimentConfig`` field declares it.
 
-    ``kind`` is ``float``, ``int``, ``str``, ``floats`` or ``strs``; the
-    last two are comma-separated lists, and an empty one is ``()``.
-    ``read_by`` names the scenarios whose results depend on the key; set
-    explicitly for any other scenario, it is a configuration error.
+    ``name`` is the field's name; the flag is ``--`` + name with ``-`` for
+    ``_``.  ``kind`` is ``float``, ``int``, ``str``, ``floats`` or
+    ``strs``; the last two are comma-separated lists, and an empty one is
+    ``()``.  ``read_by`` names the scenarios whose results depend on the
+    key; set explicitly for any other scenario, it is a configuration
+    error.  ``rule`` (positive, finite or >= 1) must hold for the value or
+    for each entry of a list, ``nonempty`` forbids an empty list, and
+    ``choices`` are the allowed values of a ``str`` or of each entry of a
+    ``strs``.
     """
 
     name: str
-    field: str
     kind: str
     help: str
     read_by: tuple[str, ...]
+    rule: str | None = None
+    nonempty: bool = False
+    choices: tuple[str, ...] | None = None
 
     def parse(self, raw: str):
         """The value of ``raw`` for this key; ConfigError if it has the wrong kind."""
@@ -211,52 +128,128 @@ class ConfigKey(NamedTuple):
         except ValueError:
             raise ConfigError(f"{self.name} expects a number, got {raw!r}") from None
 
+    def check(self, value) -> None:
+        """ConfigError unless ``value`` keeps this key's own rule and choices."""
+        if value is None:  # out_dir unset, or ratios left to the scenario
+            return
+        if self.kind == "strs":
+            if not value or not set(value) <= set(self.choices):
+                raise ConfigError(
+                    f"{self.name} must be a nonempty subset of {','.join(self.choices)}, "
+                    f"got {value!r}"
+                )
+            return
+        items = value if self.kind == "floats" else (value,)
+        if self.nonempty and not items:
+            raise ConfigError(f"{self.name} must not be empty")
+        for v in items:
+            if self.choices is not None and v not in self.choices:
+                *most, last = self.choices
+                raise ConfigError(f"{self.name} must be {', '.join(most)} or {last}, got {v!r}")
+            if self.rule is not None and not _RULES[self.rule](v):
+                raise ConfigError(f"{self.name} must be {self.rule}, got {v!r}")
 
-# Groups of scenarios, for the ``read_by`` column below.
-_SWEEPS = ("ratio_sweep", "dt_sweep", "dx_sweep")
-_LAYERED = ("custom", "tps_three_layer")
-_WR = _SWEEPS + _LAYERED  # the scenarios that run the waveform relaxation
-_ALL = _WR + ("rho_curves", "v3_root_scan")
 
-# Every configuration key, declared once.  The config-file parser, the
-# command-line flags (``--`` + key with ``_`` as ``-``; ``scenario`` is
-# file-only) and the ``--help`` listing all read this table.
-CONFIG_KEYS = (
-    ConfigKey("scenario", "scenario", "str", "scenario to run (config files only)", _ALL),
-    ConfigKey("out_dir", "out_dir", "str", "directory for CSV artifacts (required to write)", _ALL),
-    ConfigKey("T", "final_time", "float", "final time", _ALL),
-    ConfigKey("dx", "dx", "float", "mesh size", ("ratio_sweep", "dt_sweep") + _LAYERED),
-    ConfigKey(
-        "dt", "dt", "float", "time step",
-        ("ratio_sweep", "dx_sweep") + _LAYERED + ("rho_curves", "v3_root_scan"),
-    ),
-    ConfigKey("dts", "dt_list", "floats", "comma-separated time-step list", ("dt_sweep",)),
-    ConfigKey("dxs", "dx_list", "floats", "comma-separated mesh-size list", ("dx_sweep",)),
-    ConfigKey(
-        "ratios", "ratios", "floats", "comma-separated diffusion-ratio list",
-        _SWEEPS + ("rho_curves",),
-    ),
-    ConfigKey(
-        "versions", "versions", "strs", f"comma-separated subset of {','.join(VERSIONS)}",
-        _WR + ("rho_curves",),
-    ),
-    ConfigKey("nu1", "nu1", "float", "left diffusion coefficient", _SWEEPS + ("rho_curves",)),
-    ConfigKey("nu_layers", "nu_layers", "floats", "comma-separated layer coefficients", _LAYERED),
-    ConfigKey("interfaces", "interfaces", "floats", "comma-separated interface coordinates", _WR),
-    ConfigKey("u0", "initial_value", "float", "constant initial value", _WR),
-    ConfigKey("g_left", "bc_left", "float", "left Dirichlet value", _WR),
-    ConfigKey("g_right", "bc_right", "float", "right Dirichlet value", _WR),
-    ConfigKey("tolerance", "tolerance", "float", "iteration tolerance", _WR),
-    ConfigKey("max_iter", "max_iter", "int", "iteration cap", _WR),
-    ConfigKey("init", "init", "str", "first transmission data", _WR),
-    ConfigKey("sweep", "sweep", "str", "update order", _WR),
-    ConfigKey("rho_points", "rho_points", "int", "curve resolution", ("rho_curves",)),
-    ConfigKey("scan_points", "scan_points", "int", "root-scan resolution", ("v3_root_scan",)),
-    ConfigKey(
-        "mu", "mu", "float", "diffusion jump sqrt(nu1/nu2) for the root scan",
-        ("v3_root_scan",),
-    ),
-)
+def _key(default, kind, help, read_by, rule=None, *, nonempty=False, choices=None):
+    """An ``ExperimentConfig`` field declaring its configuration key; the field names it."""
+    key = ConfigKey("", kind, help, read_by, rule, nonempty, choices)
+    return field(default=default, metadata={"key": key})
+
+
+@dataclass
+class ExperimentConfig:
+    """Validated settings for one scenario run; each field is a configuration key.
+
+    A field is the one declaration of its key: the field's name and default
+    are the key's, and its metadata holds the rest of the ``ConfigKey``.
+    The config-file parser, the command-line flags (``scenario`` is
+    file-only), their ``--help`` listing and ``validate`` all read the keys
+    through ``CONFIG_KEYS``, in field order.
+
+    ``ratios`` left as None picks the scenario's default list.  For the
+    layered scenarios (``tps_three_layer``, ``custom``) the diffusion field
+    is given by ``nu_layers`` split at ``interfaces``; the two-domain sweeps
+    use ``nu1`` on the left and ``nu1/ratio`` on the right of the single
+    interface.
+    """
+
+    scenario: str = _key(
+        "ratio_sweep", "str", "scenario to run (config files only)", SCENARIOS, choices=SCENARIOS
+    )
+    out_dir: str | None = _key(
+        None, "str", "directory for CSV artifacts (required to write)", SCENARIOS
+    )
+    T: float = _key(5.0, "float", "final time", SCENARIOS, "positive")
+    dx: float = _key(
+        1.0 / 40.0, "float", "mesh size", ("ratio_sweep", "dt_sweep") + _LAYERED, "positive"
+    )
+    dt: float = _key(
+        1.0 / 40.0, "float", "time step",
+        ("ratio_sweep", "dx_sweep") + _LAYERED + ("rho_curves", "v3_root_scan"), "positive",
+    )
+    dts: tuple[float, ...] = _key(
+        (1.0 / 20.0, 1.0 / 40.0, 1.0 / 80.0, 1.0 / 160.0), "floats",
+        "comma-separated time-step list", ("dt_sweep",), "positive", nonempty=True,
+    )
+    dxs: tuple[float, ...] = _key(
+        (1.0 / 20.0, 1.0 / 40.0, 1.0 / 80.0), "floats",
+        "comma-separated mesh-size list", ("dx_sweep",), "positive", nonempty=True,
+    )
+    ratios: tuple[float, ...] | None = _key(
+        None, "floats", "comma-separated diffusion-ratio list", _SWEEPS + ("rho_curves",),
+        "positive", nonempty=True,
+    )
+    versions: tuple[str, ...] = _key(
+        VERSIONS, "strs", f"comma-separated subset of {','.join(VERSIONS)}",
+        _WR + ("rho_curves",), choices=VERSIONS,
+    )
+    nu1: float = _key(
+        1.0, "float", "left diffusion coefficient", _SWEEPS + ("rho_curves",), "positive"
+    )
+    nu_layers: tuple[float, ...] = _key(
+        (), "floats", "comma-separated layer coefficients", _LAYERED, "positive"
+    )
+    interfaces: tuple[float, ...] = _key(
+        (0.5,), "floats", "comma-separated interface coordinates", _WR, nonempty=True
+    )
+    u0: float = _key(20.0, "float", "constant initial value", _WR, "finite")
+    g_left: float = _key(0.0, "float", "left Dirichlet value", _WR, "finite")
+    g_right: float = _key(0.0, "float", "right Dirichlet value", _WR, "finite")
+    tolerance: float = _key(1e-8, "float", "iteration tolerance", _WR, "positive")
+    max_iter: int = _key(1000, "int", "iteration cap", _WR, ">= 1")
+    init: str = _key("zero", "str", "first transmission data", _WR, choices=INIT_MODES)
+    sweep: str = _key("gauss_seidel", "str", "update order", _WR, choices=SWEEP_MODES)
+    rho_points: int = _key(512, "int", "curve resolution", ("rho_curves",))
+    scan_points: int = _key(1000, "int", "root-scan resolution", ("v3_root_scan",))
+    mu: float = _key(
+        math.sqrt(10.0), "float", "diffusion jump sqrt(nu1/nu2) for the root scan",
+        ("v3_root_scan",), "positive",
+    )
+
+    def validate(self) -> None:
+        """ConfigError unless every key keeps its own rule and the keys agree."""
+        for key in CONFIG_KEYS:
+            key.check(getattr(self, key.name))
+        if list(self.interfaces) != sorted(set(self.interfaces)):
+            raise ConfigError("interfaces must be strictly increasing")
+        for v in self.interfaces:
+            if not (0.0 < v < 1.0):
+                raise ConfigError(f"interfaces must lie inside (0, 1), got {v}")
+        if self.scenario == "rho_curves" and self.rho_points < 500:
+            raise ConfigError("rho_points must be >= 500 for rho_curves")
+        if self.scenario == "v3_root_scan" and self.scan_points < 500:
+            raise ConfigError("scan_points must be >= 500 for v3_root_scan")
+        if self.scenario in _LAYERED and len(self.nu_layers) != len(self.interfaces) + 1:
+            raise ConfigError("nu_layers must have exactly one more entry than interfaces")
+
+    def effective_ratios(self) -> tuple[float, ...]:
+        if self.ratios is not None:
+            return self.ratios
+        return DEFAULT_RATIOS.get(self.scenario, (10.0,))
+
+
+# Every configuration key, in the order ``--help`` lists them.
+CONFIG_KEYS = tuple(f.metadata["key"]._replace(name=f.name) for f in fields(ExperimentConfig))
 _KEYS_BY_NAME = {key.name: key for key in CONFIG_KEYS}
 
 
@@ -283,7 +276,7 @@ def parse_config(path: str) -> ExperimentConfig:
             if key is None:
                 raise ConfigError(f"line {lineno}: unknown key {name!r}")
             try:
-                setattr(cfg, key.field, key.parse(raw))
+                setattr(cfg, key.name, key.parse(raw))
             except ConfigError as exc:
                 raise ConfigError(f"line {lineno}: {exc}") from None
             names[name] = None
@@ -333,9 +326,9 @@ def _case_setup(
     dt: float,
 ) -> tuple[Mesh1D, Decomposition, HeatProblem]:
     """Mesh, split and problem of one case; ConfigError if the grid does not fit."""
-    n_steps = round(cfg.final_time / dt)
-    if n_steps < 1 or abs(n_steps * dt - cfg.final_time) > 1e-9 * cfg.final_time:
-        raise ConfigError(f"dt={dt} does not divide T={cfg.final_time}")
+    n_steps = round(cfg.T / dt)
+    if n_steps < 1 or abs(n_steps * dt - cfg.T) > 1e-9 * cfg.T:
+        raise ConfigError(f"dt={dt} does not divide T={cfg.T}")
     if len(layers) != len(interfaces) + 1:
         raise ConfigError(
             f"{len(layers)} diffusion layers need {len(layers) - 1} interfaces, "
@@ -349,10 +342,10 @@ def _case_setup(
     problem = HeatProblem(
         DiffusionProfile(layers, interfaces),
         None,
-        cfg.initial_value,
-        cfg.bc_left,
-        cfg.bc_right,
-        cfg.final_time,
+        cfg.u0,
+        cfg.g_left,
+        cfg.g_right,
+        cfg.T,
         dt,
     )
     return mesh, deco, problem
@@ -383,7 +376,7 @@ def _run_layered_case(
     """
     out = _CaseResult()
     try:
-        band = frequency_band_from_grid(cfg.final_time, problem.time_step)
+        band = frequency_band_from_grid(cfg.T, problem.time_step)
         pairs = interface_diffusion_pairs(problem, deco)
         results = [optimize(version, band, pair) for pair in pairs]
         out.params = results[0].params
@@ -476,7 +469,7 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> list[str]:
 
 def _run_grid_sweep(cfg: ExperimentConfig, kind: str) -> list[str]:
     header = ["ratio", "version", kind, "iterations", "rho_star", "error"]
-    values = cfg.dt_list if kind == "dt" else cfg.dx_list
+    values = cfg.dts if kind == "dt" else cfg.dxs
     rows = []
     paths = []
     for ratio in cfg.effective_ratios():
@@ -548,7 +541,7 @@ print("wrote rho_curves.png")
 
 def run_rho_curves(cfg: ExperimentConfig) -> list[str]:
     """Convergence-factor curves over the band for the optimized parameters."""
-    band = frequency_band_from_grid(cfg.final_time, cfg.dt)
+    band = frequency_band_from_grid(cfg.T, cfg.dt)
     grid = band.geometric_grid(cfg.rho_points)
     header = ["ratio", "version", "wt", "rho"]
     rows = []
@@ -577,7 +570,7 @@ def run_v3_root_scan(cfg: ExperimentConfig) -> list[str]:
     the bisection work in.  Raises ScenarioError unless exactly one sign
     change is found.
     """
-    band = frequency_band_from_grid(cfg.final_time, cfg.dt)
+    band = frequency_band_from_grid(cfg.T, cfg.dt)
     mu = max(cfg.mu, 1.0 / cfg.mu)
     ps = np.linspace(*v3_bracket(band, mu), cfg.scan_points)
     lhs, rhs = v3_equation_sides(ps, band, mu)
@@ -709,11 +702,11 @@ def tps_defaults(cfg: ExperimentConfig) -> ExperimentConfig:
         scenario="tps_three_layer",
         dx=1.0 / 100.0,
         dt=1.0 / 40.0,
-        final_time=5.0,
+        T=5.0,
         nu_layers=(1.0, 1e-2, 1e-3),
         interfaces=(0.2, 0.4),
-        bc_left=0.0,
-        bc_right=50.0,
+        g_left=0.0,
+        g_right=50.0,
     )
 
 
@@ -726,7 +719,6 @@ _RUNNERS = {
     "tps_three_layer": run_tps_three_layer,
     "custom": run_custom,
 }
-SCENARIOS = tuple(_RUNNERS)
 
 
 def run_scenario(cfg: ExperimentConfig) -> list[str]:

@@ -385,7 +385,7 @@ def _v3_minimize_endpoint_level(a: float, b: float, band: FrequencyBand, mu: flo
 def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     """Best two-parameter cross scaling via bracketed bisection.
 
-    Normalizes to mu > 1, solves the scalar equation on ``v3_bracket``,
+    Normalizes to mu >= 1, solves the scalar equation on ``v3_bracket``,
     recovers q = 2*wt1*wt2/p, and swaps (p, q) back when the input pair
     had nu1 < nu2.  The bisection halves the bracket until its midpoint no
     longer splits it, so the root is located to one unit in the last place
@@ -413,11 +413,6 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     if band.degenerate:
         (p_n, _), (q_n, _) = restriction_intervals_v3(band, mu)
         return build(p_n, q_n)
-    if mu == 1.0:
-        # Versions II and III coincide (gamma = 1).
-        q_star = math.sqrt(2.0 * wt1 * wt2)
-        return build(q_star, q_star)
-
     bracket = v3_bracket(band, mu)
     a, b = bracket
     fa = v3_residual(a, band, mu)

@@ -51,10 +51,10 @@ def _read_rows(path):
 def test_parse_config_defaults_match_table_settings(tmp_path):
     cfg = parse_config(_write(tmp_path, "c.txt", "scenario=ratio_sweep\n"))
     assert cfg.scenario == "ratio_sweep"
-    assert cfg.final_time == 5.0
+    assert cfg.T == 5.0
     assert cfg.dx == cfg.dt == pytest.approx(1.0 / 40.0)
-    assert cfg.initial_value == 20.0
-    assert cfg.bc_left == cfg.bc_right == 0.0
+    assert cfg.u0 == 20.0
+    assert cfg.g_left == cfg.g_right == 0.0
     assert cfg.nu1 == 1.0
     assert cfg.tolerance == 1e-8
     assert cfg.max_iter == 1000
@@ -119,7 +119,7 @@ def test_allowed_choices_come_from_the_library():
 def _small_cfg(tmp_path, **kw):
     cfg = ExperimentConfig(
         scenario="ratio_sweep",
-        final_time=1.0,
+        T=1.0,
         dx=1.0 / 8.0,
         dt=1.0 / 8.0,
         ratios=(4.0,),
@@ -209,7 +209,7 @@ def test_case_runner_lets_untyped_errors_through(tmp_path, monkeypatch):
 
 
 def test_dt_sweep_histories(tmp_path):
-    cfg = _small_cfg(tmp_path, scenario="dt_sweep", dt_list=(1.0 / 4.0, 1.0 / 8.0))
+    cfg = _small_cfg(tmp_path, scenario="dt_sweep", dts=(1.0 / 4.0, 1.0 / 8.0))
     paths = run_dt_sweep(cfg)
     header, rows = _read_rows(paths[0])
     assert header == ["ratio", "version", "dt", "iterations", "rho_star", "error"]
@@ -230,18 +230,18 @@ def _rows_as_dicts(path):
 def test_sweep_columns_match_ratio_sweep(tmp_path):
     # the shared grid point of the sweeps reproduces the ratio-sweep row
     base = dict(
-        final_time=1.0, dx=1.0 / 8.0, dt=1.0 / 8.0, ratios=(4.0,), versions=("I", "II")
+        T=1.0, dx=1.0 / 8.0, dt=1.0 / 8.0, ratios=(4.0,), versions=("I", "II")
     )
     cfg_r = ExperimentConfig(scenario="ratio_sweep", out_dir=str(tmp_path / "r"), **base)
     ratio_rows = {r["version"]: r for r in _rows_as_dicts(run_ratio_sweep(cfg_r)[0])}
     cfg_t = ExperimentConfig(
-        scenario="dt_sweep", dt_list=(1.0 / 4.0, 1.0 / 8.0), out_dir=str(tmp_path / "t"), **base
+        scenario="dt_sweep", dts=(1.0 / 4.0, 1.0 / 8.0), out_dir=str(tmp_path / "t"), **base
     )
     for row in _rows_as_dicts(run_dt_sweep(cfg_t)[0]):
         if float(row["dt"]) == 1.0 / 8.0:
             assert row["iterations"] == ratio_rows[row["version"]]["iterations"]
     cfg_x = ExperimentConfig(
-        scenario="dx_sweep", dx_list=(1.0 / 8.0, 1.0 / 16.0), out_dir=str(tmp_path / "x"), **base
+        scenario="dx_sweep", dxs=(1.0 / 8.0, 1.0 / 16.0), out_dir=str(tmp_path / "x"), **base
     )
     for row in _rows_as_dicts(run_dx_sweep(cfg_x)[0]):
         if float(row["dx"]) == 1.0 / 8.0:
@@ -305,14 +305,14 @@ def test_v3_root_scan_spans_the_optimizer_bracket_in_either_orientation(tmp_path
     # a jump below 1 is the same problem seen from the other side
     assert scan(0.5)[2] == written
     _, rows = _read_rows(paths[0])
-    band = frequency_band_from_grid(cfg.final_time, cfg.dt)
+    band = frequency_band_from_grid(cfg.T, cfg.dt)
     assert (float(rows[0][0]), float(rows[-1][0])) == v3_bracket(band, 2.0)
 
 
 def test_v3_root_scan_flags_missing_sign_change(tmp_path):
     cfg = ExperimentConfig(
         scenario="v3_root_scan",
-        final_time=1.0,
+        T=1.0,
         dt=0.125,
         mu=2.0,
         scan_points=500,
@@ -331,7 +331,7 @@ def test_tps_scenario_outputs(tmp_path):
         dx=1.0 / 100.0,
         nu_layers=(1.0, 1e-2, 1e-3),
         interfaces=(0.2, 0.4),
-        bc_right=50.0,
+        g_right=50.0,
         out_dir=str(tmp_path / "out"),
     )
     paths = run_tps_three_layer(cfg)
@@ -369,7 +369,7 @@ def test_one_monolithic_reference_per_problem(tmp_path, monkeypatch):
 
     calls.clear()
     cfg = _small_cfg(
-        tmp_path, scenario="dt_sweep", ratios=ratios, versions=versions[:2], dt_list=dts,
+        tmp_path, scenario="dt_sweep", ratios=ratios, versions=versions[:2], dts=dts,
         out_dir=str(tmp_path / "dt"),
     )
     paths = run_dt_sweep(cfg)
@@ -384,8 +384,8 @@ def test_one_monolithic_reference_per_problem(tmp_path, monkeypatch):
 
     calls.clear()
     cfg = ExperimentConfig(
-        scenario="tps_three_layer", final_time=1.0, dx=0.1, dt=1.0 / 8.0,
-        nu_layers=(1.0, 1e-2, 1e-3), interfaces=(0.2, 0.4), bc_right=50.0,
+        scenario="tps_three_layer", T=1.0, dx=0.1, dt=1.0 / 8.0,
+        nu_layers=(1.0, 1e-2, 1e-3), interfaces=(0.2, 0.4), g_right=50.0,
         versions=versions, out_dir=str(tmp_path / "tps"),
     )
     _, rows = _read_rows(run_tps_three_layer(cfg)[0])
@@ -395,7 +395,7 @@ def test_one_monolithic_reference_per_problem(tmp_path, monkeypatch):
 
 def test_grid_that_does_not_fit_is_an_error_on_each_of_its_rows(tmp_path):
     cfg = _small_cfg(
-        tmp_path, scenario="dt_sweep", versions=("II", "I"), dt_list=(0.3, 1.0 / 8.0)
+        tmp_path, scenario="dt_sweep", versions=("II", "I"), dts=(0.3, 1.0 / 8.0)
     )
     _, rows = _read_rows(run_dt_sweep(cfg)[0])
     cases = [(r[1], float(r[2])) for r in rows]
@@ -551,7 +551,7 @@ def test_flag_and_file_agree(tmp_path, monkeypatch, key):
         monkeypatch, [_COMMANDS[scenario], flag, text, *out_args]
     )
     assert from_file == from_flag
-    assert getattr(from_flag, key.field) != getattr(ExperimentConfig(), key.field)
+    assert getattr(from_flag, key.name) != getattr(ExperimentConfig(), key.name)
 
 
 def _config_text(value):
@@ -564,7 +564,7 @@ def test_help_lists_every_key_with_its_default():
     lines = build_parser().format_help().splitlines()
     defaults = ExperimentConfig()
     for key in CONFIG_KEYS:
-        value = getattr(defaults, key.field)
+        value = getattr(defaults, key.name)
         if value is None:
             assert any(line.split()[:1] == [key.name] for line in lines), key.name
         else:
@@ -615,6 +615,85 @@ def test_non_finite_initial_and_boundary_values_are_config_errors(
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert f"{key} must be finite, got {float(value)!r}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, key, text, message",
+    [
+        (
+            "ratio_sweep", "scenario", "warp",
+            "scenario must be ratio_sweep, dt_sweep, dx_sweep, rho_curves, v3_root_scan, "
+            "tps_three_layer or custom, got 'warp'",
+        ),
+        ("ratio_sweep", "out_dir", "", "out_dir is required (use --out-dir)"),
+        ("ratio_sweep", "T", "0", "T must be positive, got 0.0"),
+        ("ratio_sweep", "dx", "-1", "dx must be positive, got -1.0"),
+        ("ratio_sweep", "dt", "inf", "dt must be positive, got inf"),
+        ("dt_sweep", "dts", "0.1,0", "dts must be positive, got 0.0"),
+        ("dx_sweep", "dxs", "", "dxs must not be empty"),
+        ("ratio_sweep", "ratios", "10,-1", "ratios must be positive, got -1.0"),
+        (
+            "ratio_sweep", "versions", "I,IV",
+            "versions must be a nonempty subset of I,II,III, got ('I', 'IV')",
+        ),
+        ("ratio_sweep", "nu1", "nan", "nu1 must be positive, got nan"),
+        ("custom", "nu_layers", "1,0", "nu_layers must be positive, got 0.0"),
+        ("custom", "nu_layers", "1", "nu_layers must have exactly one more entry than interfaces"),
+        ("ratio_sweep", "interfaces", "0.5,0.25", "interfaces must be strictly increasing"),
+        ("ratio_sweep", "interfaces", "1.5", "interfaces must lie inside (0, 1), got 1.5"),
+        ("ratio_sweep", "u0", "inf", "u0 must be finite, got inf"),
+        ("ratio_sweep", "g_left", "-inf", "g_left must be finite, got -inf"),
+        ("ratio_sweep", "g_right", "nan", "g_right must be finite, got nan"),
+        ("ratio_sweep", "tolerance", "0", "tolerance must be positive, got 0.0"),
+        ("ratio_sweep", "max_iter", "0", "max_iter must be >= 1, got 0"),
+        ("ratio_sweep", "init", "ones", "init must be zero, from_initial or exact, got 'ones'"),
+        ("ratio_sweep", "sweep", "sor", "sweep must be gauss_seidel or jacobi, got 'sor'"),
+        ("rho_curves", "rho_points", "499", "rho_points must be >= 500 for rho_curves"),
+        ("v3_root_scan", "scan_points", "10", "scan_points must be >= 500 for v3_root_scan"),
+        ("v3_root_scan", "mu", "0", "mu must be positive, got 0.0"),
+    ],
+)
+def test_every_key_rejects_a_bad_value_with_its_own_message(
+    tmp_path, capsys, scenario, key, text, message
+):
+    # The whole stderr is pinned, from a file and from the flag, which
+    # prints no file name.  The init/sweep flags are argparse choices
+    # (usage errors, see below), and scenario is file-only.
+    out = str(tmp_path / "out")
+    out_args = [] if key == "out_dir" else ["--out-dir", out]
+    lines = "" if key == "scenario" else f"scenario={scenario}\n"
+    config = _write(tmp_path, "c.txt", f"{lines}{key}={text}\n")
+    assert main(["run", config, *out_args]) == 1
+    where = "" if key == "out_dir" else f"{config}: "
+    assert capsys.readouterr().err == f"config error: {where}{message}\n"
+    if key not in ("scenario", "init", "sweep"):
+        flag = "--" + key.replace("_", "-")
+        assert main([_COMMANDS[scenario], f"{flag}={text}", *out_args]) == 1
+        assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, text, message",
+    [
+        ("init", "ones", "init must be zero, from_initial or exact, got 'ones'"),
+        ("sweep", "sor", "sweep must be gauss_seidel or jacobi, got 'sor'"),
+    ],
+)
+def test_choice_flags_are_usage_errors_and_choice_keys_config_errors(
+    tmp_path, capsys, key, text, message
+):
+    # argparse checks the flag against the key's choices (exit 2); the same
+    # value in a file reaches validation (exit 1).
+    out = str(tmp_path / "out")
+    with pytest.raises(SystemExit) as exc:
+        main(["ratio-sweep", "--out-dir", out, f"--{key}", text])
+    assert exc.value.code == 2
+    assert f"invalid choice: '{text}'" in capsys.readouterr().err
+    config = _write(tmp_path, "c.txt", f"{key}={text}\n")
+    assert main(["run", config, "--out-dir", out]) == 1
+    assert capsys.readouterr().err == f"config error: {config}: {message}\n"
     assert not (tmp_path / "out").exists()
 
 
@@ -685,8 +764,8 @@ def test_every_scenario_reads_its_keys_and_ignores_the_rest(tmp_path):
         "init": "exact", "sweep": "jacobi", "rho_points": 600, "scan_points": 600, "mu": 5.0,
     }
     small = dict(
-        final_time=1.0, dx=1.0 / 8.0, dt=1.0 / 8.0, ratios=(4.0,), versions=("II",),
-        dt_list=(1.0 / 8.0,), dx_list=(1.0 / 8.0,), nu_layers=(1.0, 0.1),
+        T=1.0, dx=1.0 / 8.0, dt=1.0 / 8.0, ratios=(4.0,), versions=("II",),
+        dts=(1.0 / 8.0,), dxs=(1.0 / 8.0,), nu_layers=(1.0, 0.1),
     )
 
     def written(cfg, name):
@@ -702,5 +781,5 @@ def test_every_scenario_reads_its_keys_and_ignores_the_rest(tmp_path):
         expected = written(cfg, scenario)
         for key in CONFIG_KEYS:
             if scenario not in key.read_by:
-                changed = replace(cfg, **{key.field: other[key.name]})
+                changed = replace(cfg, **{key.name: other[key.name]})
                 assert written(changed, f"{scenario}-{key.name}") == expected, key.name

@@ -238,15 +238,6 @@ def test_interface_pairs_three_layers():
             assert prm.sigma1 <= prm.sigma2
 
 
-def test_interface_params_equal_coefficients_coincide():
-    pair = DiffusionPair(0.5, 0.5)
-    v2 = optimize("II", REF_BAND, pair).params
-    v3 = optimize("III", REF_BAND, pair).params
-    assert v2.sigma1 == pytest.approx(v3.sigma1, rel=1e-14)
-    assert v2.sigma2 == pytest.approx(v3.sigma2, rel=1e-14)
-    assert v3.gamma == pytest.approx(1.0, rel=1e-14)
-
-
 def test_three_subdomain_iteration_matches_monolithic():
     mesh = Mesh1D.uniform(0.0, 1.0, 100)
     problem = HeatProblem(
