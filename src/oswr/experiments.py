@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from dataclasses import dataclass, field, fields, replace
 from typing import Iterator, NamedTuple
 
@@ -75,6 +76,10 @@ _SWEEPS = ("ratio_sweep", "dt_sweep", "dx_sweep")
 _LAYERED = ("custom", "tps_three_layer")
 _WR = _SWEEPS + _LAYERED  # the scenarios that run the waveform relaxation
 SCENARIOS = _SWEEPS + ("rho_curves", "v3_root_scan", "tps_three_layer", "custom")
+
+# Beyond this jump (or below its inverse) the sides of the Version III
+# equation, of order mu**-4, are not normal doubles: the scan can't resolve them.
+_V3_MU_MAX = sys.float_info.min ** -0.25
 
 # A key's own rule, named by the words its error message uses.
 _RULES = {
@@ -227,7 +232,11 @@ class ExperimentConfig:
     )
 
     def validate(self) -> None:
-        """ConfigError unless every key keeps its own rule and the keys agree."""
+        """ConfigError unless every key keeps its own rule and the keys agree.
+
+        A configuration none of whose grids fits is an error; a grid that
+        fails among grids that fit is an error on its own rows only.
+        """
         for key in CONFIG_KEYS:
             key.check(getattr(self, key.name))
         if list(self.interfaces) != sorted(set(self.interfaces)):
@@ -241,6 +250,32 @@ class ExperimentConfig:
             raise ConfigError("scan_points must be >= 500 for v3_root_scan")
         if self.scenario in _LAYERED and len(self.nu_layers) != len(self.interfaces) + 1:
             raise ConfigError("nu_layers must have exactly one more entry than interfaces")
+        if self.scenario in ("rho_curves", "v3_root_scan"):
+            try:
+                frequency_band_from_grid(self.T, self.dt)
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
+        if self.scenario == "v3_root_scan" and not 1.0 / _V3_MU_MAX <= self.mu <= _V3_MU_MAX:
+            raise ConfigError(
+                f"mu must lie within [{1.0 / _V3_MU_MAX:.3g}, {_V3_MU_MAX:.3g}], got {self.mu!r}"
+            )
+        if self.scenario in _WR:
+            errors = []
+            for dx, dt in self._grids():
+                try:
+                    _fit_grid(self, dx, dt)
+                except ConfigError as exc:
+                    errors.append(exc)
+            if len(errors) == len(self._grids()):
+                raise errors[0]
+
+    def _grids(self) -> list[tuple[float, float]]:
+        """(dx, dt) of every grid the scenario runs, in order."""
+        if self.scenario == "dt_sweep":
+            return [(self.dx, dt) for dt in self.dts]
+        if self.scenario == "dx_sweep":
+            return [(dx, self.dt) for dx in self.dxs]
+        return [(self.dx, self.dt)]
 
     def effective_ratios(self) -> tuple[float, ...]:
         if self.ratios is not None:
@@ -311,44 +346,19 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
-def _elements_for(dx: float) -> int:
-    n = round(1.0 / dx)
-    if n < 2 or abs(n * dx - 1.0) > 1e-9:
-        raise ConfigError(f"dx={dx} does not divide the unit domain")
-    return n
-
-
-def _case_setup(
-    cfg: ExperimentConfig,
-    layers: tuple[float, ...],
-    interfaces: tuple[float, ...],
-    dx: float,
-    dt: float,
-) -> tuple[Mesh1D, Decomposition, HeatProblem]:
-    """Mesh, split and problem of one case; ConfigError if the grid does not fit."""
+def _fit_grid(cfg: ExperimentConfig, dx: float, dt: float) -> tuple[Mesh1D, Decomposition]:
+    """Mesh and split of a grid; ConfigError unless it fits T, (0, 1) and the interfaces."""
     n_steps = round(cfg.T / dt)
     if n_steps < 1 or abs(n_steps * dt - cfg.T) > 1e-9 * cfg.T:
         raise ConfigError(f"dt={dt} does not divide T={cfg.T}")
-    if len(layers) != len(interfaces) + 1:
-        raise ConfigError(
-            f"{len(layers)} diffusion layers need {len(layers) - 1} interfaces, "
-            f"got {len(interfaces)}"
-        )
-    mesh = Mesh1D.uniform(0.0, 1.0, _elements_for(dx))
+    n_elements = round(1.0 / dx)
+    if n_elements < 2 or abs(n_elements * dx - 1.0) > 1e-9:
+        raise ConfigError(f"dx={dx} does not divide the unit domain")
+    mesh = Mesh1D.uniform(0.0, 1.0, n_elements)
     try:
-        deco = decompose(mesh, interfaces)
+        return mesh, decompose(mesh, cfg.interfaces)
     except ValueError as exc:
         raise ConfigError(f"dx={dx} does not fit the interfaces: {exc}") from None
-    problem = HeatProblem(
-        DiffusionProfile(layers, interfaces),
-        None,
-        cfg.u0,
-        cfg.g_left,
-        cfg.g_right,
-        cfg.T,
-        dt,
-    )
-    return mesh, deco, problem
 
 
 @dataclass
@@ -404,24 +414,27 @@ def _run_layered_case(
 
 
 def _run_versions(
-    cfg: ExperimentConfig,
-    layers: tuple[float, ...],
-    interfaces: tuple[float, ...],
-    dx: float,
-    dt: float,
+    cfg: ExperimentConfig, layers: tuple[float, ...], dx: float, dt: float
 ) -> Iterator[tuple[str, _CaseResult]]:
     """(version, case) for every configured version on one (geometry, grid), in order.
 
     The monolithic reference is solved once and shared by the versions;
-    it lives only while the cases are generated.  A grid that does not fit
-    gives every version its ``ConfigError`` text.
+    it lives only while the cases are generated.  A case that does not fit
+    its grid gives every version its ``ConfigError`` text.
     """
     try:
-        mesh, deco, problem = _case_setup(cfg, layers, interfaces, dx, dt)
+        mesh, deco = _fit_grid(cfg, dx, dt)
+        if len(layers) != len(cfg.interfaces) + 1:
+            raise ConfigError(
+                f"{len(layers)} diffusion layers need {len(layers) - 1} interfaces, "
+                f"got {len(cfg.interfaces)}"
+            )
     except ConfigError as exc:
         for version in cfg.versions:
             yield version, _CaseResult(error=str(exc))
         return
+    diffusion = DiffusionProfile(layers, cfg.interfaces)
+    problem = HeatProblem(diffusion, None, cfg.u0, cfg.g_left, cfg.g_right, cfg.T, dt)
     reference = solve_monolithic(problem, mesh)
     for version in cfg.versions:
         yield version, _run_layered_case(cfg, version, deco, problem, reference)
@@ -448,7 +461,7 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> list[str]:
     rows = []
     for ratio in cfg.effective_ratios():
         layers = _two_domain_layers(cfg, ratio)
-        for version, case in _run_versions(cfg, layers, cfg.interfaces, cfg.dx, cfg.dt):
+        for version, case in _run_versions(cfg, layers, cfg.dx, cfg.dt):
             p = case.params
             rows.append(
                 [
@@ -477,11 +490,9 @@ def _run_grid_sweep(cfg: ExperimentConfig, kind: str) -> list[str]:
         # Solved grid by grid, so each reference serves every version, and
         # written version by version: by_value[i][v] is (row, history path).
         by_value = []
-        for value in values:
-            dx = cfg.dx if kind == "dt" else value
-            dt = value if kind == "dt" else cfg.dt
+        for value, (dx, dt) in zip(values, cfg._grids()):
             per_version = []
-            for version, case in _run_versions(cfg, layers, cfg.interfaces, dx, dt):
+            for version, case in _run_versions(cfg, layers, dx, dt):
                 hist_rows = [[k + 1, e] for k, e in enumerate(case.errors)]
                 row = [ratio, version, value, case.iterations, case.rho_star, case.error]
                 del case  # frees the merged field before the next version runs
@@ -638,13 +649,11 @@ print("wrote {png}")
 
 
 def _run_layered_scenario(cfg: ExperimentConfig, prefix: str) -> list[str]:
-    layers = cfg.nu_layers
-    interfaces = cfg.interfaces
     summary_rows = []
     paths = []
     dump_field = None
     dump_version = None
-    for version, case in _run_versions(cfg, layers, interfaces, cfg.dx, cfg.dt):
+    for version, case in _run_versions(cfg, cfg.nu_layers, cfg.dx, cfg.dt):
         summary_rows.append(
             [version, case.iterations, case.final_error, case.error]
         )

@@ -74,10 +74,6 @@ class Mesh1D:
             raise ValueError(f"need b > a, got ({a}, {b})")
         return cls(np.linspace(a, b, n_elements + 1))
 
-    @classmethod
-    def from_nodes(cls, nodes: np.ndarray) -> "Mesh1D":
-        return cls(np.array(nodes, dtype=float))
-
     @property
     def a(self) -> float:
         return float(self.nodes[0])

@@ -13,7 +13,8 @@ transformed frequency wt = sqrt(omega/2) is
 This module provides rho itself, the frequency band [wt1, wt2] resolved by a
 time grid, the interior stationary frequencies of rho for the three standard
 parameter scalings, and the sufficient condition guaranteeing rho < 1.
-All values are immutable and all operations are pure functions.
+Values are immutable, checked when built and hold only their defining data;
+all operations are pure functions.
 """
 
 from __future__ import annotations
@@ -50,46 +51,18 @@ def _require_positive(name: str, value: float) -> float:
 
 @dataclass(frozen=True)
 class FrequencyBand:
-    """Frequency window [wt1, wt2] resolved by a time grid.
+    """Window 0 < wt1 <= wt2 < inf of the transformed frequency wt = sqrt(omega/2)."""
 
-    A solve over (0, T) with time step dt carries temporal frequencies
-    omega between pi/(2T) and pi/dt.  In the transformed variable
-    wt = sqrt(omega/2) the window is [wt1, wt2] with wt1 = sqrt(pi/(4T)),
-    wt2 = sqrt(pi/(2 dt)) and ratio k_r = wt2/wt1.
-    """
-
-    final_time: float
-    time_step: float
-    omega_min: float
-    omega_max: float
     wt1: float
     wt2: float
-    k_r: float
 
-    @classmethod
-    def from_time_grid(cls, final_time: float, time_step: float) -> "FrequencyBand":
-        T = _require_positive("final_time", final_time)
-        dt = _require_positive("time_step", time_step)
-        if dt >= 2.0 * T:
-            raise ValueError(
-                f"time_step={dt} >= 2*final_time={2.0 * T}: frequency band collapses"
-            )
-        omega_min = math.pi / (2.0 * T)
-        omega_max = math.pi / dt
-        wt1 = math.sqrt(omega_min / 2.0)
-        wt2 = math.sqrt(omega_max / 2.0)
-        return cls(T, dt, omega_min, omega_max, wt1, wt2, wt2 / wt1)
+    def __post_init__(self) -> None:
+        if _require_positive("wt1", self.wt1) > _require_positive("wt2", self.wt2):
+            raise ValueError(f"wt2={self.wt2} < wt1={self.wt1}")
 
-    @classmethod
-    def from_wt(cls, wt1: float, wt2: float) -> "FrequencyBand":
-        """Band with prescribed endpoints; wt1 == wt2 (degenerate) is allowed."""
-        w1 = _require_positive("wt1", wt1)
-        w2 = _require_positive("wt2", wt2)
-        if w2 < w1:
-            raise ValueError(f"wt2={w2} < wt1={w1}")
-        T = math.pi / (4.0 * w1 * w1)
-        dt = math.pi / (2.0 * w2 * w2)
-        return cls(T, dt, 2.0 * w1 * w1, 2.0 * w2 * w2, w1, w2, w2 / w1)
+    @property
+    def k_r(self) -> float:
+        return self.wt2 / self.wt1
 
     @property
     def degenerate(self) -> bool:
@@ -105,8 +78,18 @@ class FrequencyBand:
 
 
 def frequency_band_from_grid(final_time: float, time_step: float) -> FrequencyBand:
-    """Frequency band resolved by a solve over (0, final_time) with time_step."""
-    return FrequencyBand.from_time_grid(final_time, time_step)
+    """Band of a solve over (0, T) with step dt, which carries omega in [pi/(2T), pi/dt].
+
+    ValueError unless T and dt are positive and finite with dt < 2T.
+    """
+    T = _require_positive("final_time", final_time)
+    dt = _require_positive("time_step", time_step)
+    if dt >= 2.0 * T:
+        raise ValueError(
+            f"time_step={dt} >= 2*final_time={2.0 * T}: frequency band collapses"
+        )
+    omega_min, omega_max = math.pi / (2.0 * T), math.pi / dt
+    return FrequencyBand(math.sqrt(omega_min / 2.0), math.sqrt(omega_max / 2.0))
 
 
 @dataclass(frozen=True)
@@ -193,7 +176,13 @@ def _rho_sq_factor(wt, sigma, nu_own: float, nu_other: float):
     ((sigma - sqrt(nu_other)*wt)^2 + nu_other*wt^2) over
     ((sigma + sqrt(nu_own)*wt)^2 + nu_own*wt^2).  Each factor depends on one
     sigma only, which lets a grid scan precompute it per parameter value.
+    Both nu are scaled by 4**-k and sigma by 2**-k, with k bringing the
+    larger nu near 1: that scales num and den by 4**-k exactly, which rho**2
+    cancels, and keeps extreme coefficients from under- or overflowing it.
     """
+    k = math.frexp(max(nu_own, nu_other))[1] // 2
+    nu_own, nu_other = math.ldexp(nu_own, -2 * k), math.ldexp(nu_other, -2 * k)
+    sigma = sigma * math.ldexp(1.0, -k)
     wsq = wt * wt
     num = (sigma - np.sqrt(nu_other) * wt) ** 2 + nu_other * wsq
     den = (sigma + np.sqrt(nu_own) * wt) ** 2 + nu_own * wsq
@@ -284,9 +273,6 @@ def max_rho_over_band(
     """
     if n_samples < 3:
         raise ValueError("n_samples must be >= 3")
-    if band.degenerate:
-        w = band.wt1
-        return w, rho(w, params, diff)
     grid = band.geometric_grid(n_samples)
     crits = [
         w

@@ -389,13 +389,14 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     recovers q = 2*wt1*wt2/p, and swaps (p, q) back when the input pair
     had nu1 < nu2.  The bisection halves the bracket until its midpoint no
     longer splits it, so the root is located to one unit in the last place
-    whatever the residual's scale.  The scalar equation has a root whenever
-    the band is wide enough (k_r of roughly 6 and beyond); for narrower
-    bands the endpoint level is minimized along the constraint curve
-    instead; on a degenerate band both ranges of
+    whatever the residual's scale; for the same reason it compares residual
+    signs, not products of residuals, which underflow to zero from mu of
+    about 1e39 on (the residual scales like mu**-4).  The scalar equation
+    has a root whenever the band is wide enough (k_r of roughly 6 and
+    beyond); for narrower bands the endpoint level is minimized along the
+    constraint curve instead; on a degenerate band both ranges of
     ``restriction_intervals_v3`` shrink to the point minimizer.  Raises
-    OptimizationError on inconsistent residual signs or a stalled
-    bisection.
+    OptimizationError on inconsistent residual signs or a stalled bisection.
     """
     norm = diff.normalized()
     swapped = norm is not diff
@@ -422,7 +423,7 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
         root = a
     elif fb == 0.0:
         root = b
-    elif fa * fb > 0.0:
+    elif (fa > 0.0) == (fb > 0.0):
         # Narrow bands (small k_r) leave the interior hump below the
         # endpoint level everywhere in the bracket, so the equation has no
         # root; minimize the endpoint level along the constraint curve
@@ -447,7 +448,7 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
             if fm == 0.0:
                 root = mid
                 break
-            if fa * fm < 0.0:
+            if (fa > 0.0) != (fm > 0.0):
                 b, fb = mid, fm
             else:
                 a, fa = mid, fm

@@ -111,7 +111,7 @@ def decompose(global_mesh: Mesh1D, interfaces) -> Decomposition:
             raise ValueError(
                 f"subdomain between nodes {lo} and {hi} has fewer than 2 elements"
             )
-        submeshes.append(Mesh1D.from_nodes(global_mesh.nodes[lo : hi + 1]))
+        submeshes.append(Mesh1D(global_mesh.nodes[lo : hi + 1]))
         ranges.append((lo, hi + 1))
     return Decomposition(
         global_mesh,
@@ -124,13 +124,20 @@ def decompose(global_mesh: Mesh1D, interfaces) -> Decomposition:
 
 @dataclass(frozen=True)
 class ConvergenceHistory:
-    """Per-iteration errors against the monolithic solution."""
+    """Per-iteration errors against the monolithic solution.
+
+    ``iterations_to_tolerance`` is None if ``max_iter`` iterations did not
+    reach ``tolerance``; the run converged exactly when it is set.
+    """
 
     errors: tuple[float, ...]
     tolerance: float
-    converged: bool
     iterations_to_tolerance: int | None
     max_iter: int
+
+    @property
+    def converged(self) -> bool:
+        return self.iterations_to_tolerance is not None
 
 
 def combined_error(deviations) -> float:
@@ -277,8 +284,8 @@ def oswr_iterate(
 
     Stops once the error against the monolithic solution drops to ``tol``.
     Raises IterationDiverged if the error exceeds 1e6 times the first
-    iterate's error, ValueError if an iterate is not finite; returns
-    converged=False after ``max_iter`` otherwise.
+    iterate's error, ValueError if an iterate is not finite; otherwise
+    returns after ``max_iter`` with a history that has not converged.
     """
     if init not in INIT_MODES:
         raise ValueError(f"init must be one of {INIT_MODES}")
@@ -305,7 +312,6 @@ def oswr_iterate(
     ]
 
     errors: list[float] = []
-    converged = False
     iterations = None
 
     for k in range(1, max_iter + 1):
@@ -327,7 +333,6 @@ def oswr_iterate(
             raise ValueError(f"iterate {k} is not finite")
         errors.append(err)
         if err <= tol:
-            converged = True
             iterations = k
             break
         if err > DIVERGENCE_FACTOR * errors[0]:
@@ -339,9 +344,7 @@ def oswr_iterate(
     # The spectra are not needed for merging; free them before it allocates.
     del responses
     combined = _combine_fields(deviations, decomposition, reference)
-    history = ConvergenceHistory(
-        tuple(errors), tol, converged, iterations, max_iter
-    )
+    history = ConvergenceHistory(tuple(errors), tol, iterations, max_iter)
     return history, combined
 
 

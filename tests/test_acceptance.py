@@ -188,7 +188,7 @@ def test_criterion_05_oracle_certification():
 def test_criterion_06_version1_case_machinery():
     from oswr.frequency import FrequencyBand
 
-    band = FrequencyBand.from_wt(1.0, 2.0)
+    band = FrequencyBand(1.0, 2.0)
     mu = 10.0
     roots = quartic_positive_roots(band, mu)
     # independent oracle for the expected roots: numpy's root finder on the

@@ -783,3 +783,85 @@ def test_every_scenario_reads_its_keys_and_ignores_the_rest(tmp_path):
             if scenario not in key.read_by:
                 changed = replace(cfg, **{key.name: other[key.name]})
                 assert written(changed, f"{scenario}-{key.name}") == expected, key.name
+
+
+# ------------------------------------------------------ edges of the range
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["rho-curves", "--T", "0.01", "--ratios", "10"], ["v3-root-scan", "--T", "0.01"]],
+)
+def test_collapsed_band_is_a_config_error(tmp_path, capsys, argv):
+    # dt = 1/40 resolves no frequency of a window shorter than dt/2.
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "config error: time_step=0.025 >= 2*final_time=0.02: frequency band collapses\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("mu", [1e38, 1e40, 1e50, 1e76])
+def test_v3_bisection_finds_the_scan_root_at_huge_jumps(tmp_path, mu):
+    # The residual scales like mu**-4: a product of two residuals underflows
+    # from mu of about 1e39 on, so residual signs must be compared directly.
+    cfg = ExperimentConfig(scenario="v3_root_scan", mu=mu, out_dir=str(tmp_path / "out"))
+    _, summary = _read_rows(run_scenario(cfg)[1])
+    sign_changes, scan_root, bis_root, spacing = summary[0]
+    assert int(sign_changes) == 1
+    assert abs(float(bis_root) - float(scan_root)) <= float(spacing)
+
+
+@pytest.mark.filterwarnings("error")
+def test_tiny_diffusion_gives_a_finite_ratio_sweep(tmp_path):
+    # rho**2 multiplies four quadratics in sigma ~ sqrt(nu); at nu ~ 1e-300
+    # their products underflowed to 0/0 = nan.
+    out = tmp_path / "out"
+    assert main(["ratio-sweep", "--nu1", "1e-300", "--ratios", "10", "--out-dir", str(out)]) == 0
+    header, rows = _read_rows(str(out / "ratio_sweep.csv"))
+    assert len(rows) == 3
+    for row in rows:
+        row = dict(zip(header, row))
+        assert row["error"] == ""
+        for name in ("p", "q", "sigma1", "sigma2", "rho_star_analytic", "final_error"):
+            assert math.isfinite(float(row[name])), (row["version"], name)
+        assert 0.0 < float(row["rho_star_analytic"]) < 1.0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("mu", ["1e77", "1e200", "1e-77", "1e-200"])
+def test_root_scan_beyond_the_double_range_is_a_config_error(tmp_path, capsys, mu):
+    out = tmp_path / "out"
+    assert main(["v3-root-scan", "--mu", mu, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: mu must lie within")
+    assert err.rstrip().endswith(f"got {float(mu)!r}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["tps", "--dt", "0.1", "--T", "0.05"], "dt=0.1 does not divide T=0.05"),
+        (["ratio-sweep", "--dt", "0.03"], "dt=0.03 does not divide T=5.0"),
+        (["dt-sweep", "--dts", "0.03,0.3"], "dt=0.03 does not divide T=5.0"),
+        (["dx-sweep", "--dxs", "0.3,0.7"], "dx=0.3 does not divide the unit domain"),
+    ],
+)
+def test_configuration_whose_every_grid_fails_is_a_config_error(
+    tmp_path, capsys, argv, message
+):
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+def test_sweep_with_some_failing_grids_still_runs(tmp_path):
+    # Only a grid that fails among grids that fit is a per-row error.
+    out = tmp_path / "out"
+    argv = ["dt-sweep", "--T", "1", "--dx", "0.125", "--dts", "0.3,0.125", "--ratios", "4",
+            "--versions", "II", "--out-dir", str(out)]
+    assert main(argv) == 0
+    _, rows = _read_rows(str(out / "dt_sweep.csv"))
+    assert [row[5] for row in rows] == ["dt=0.3 does not divide T=1.0", ""]

@@ -50,9 +50,9 @@ def test_mesh_construction_and_validation():
     with pytest.raises(ValueError):
         Mesh1D.uniform(0.0, 1.0, 1)
     with pytest.raises(ValueError):
-        Mesh1D.from_nodes([0.0, 0.1, 0.5, 1.0])
+        Mesh1D([0.0, 0.1, 0.5, 1.0])
     with pytest.raises(ValueError):
-        Mesh1D.from_nodes([0.0, 0.5, 0.4])
+        Mesh1D([0.0, 0.5, 0.4])
 
 
 def test_diffusion_profile_lookup_and_validation():
@@ -290,7 +290,7 @@ def test_robin_reproduces_global_solution_from_manufactured_data():
     mesh = Mesh1D.uniform(0.0, 1.0, 40)
     problem = _plain_problem(nu_layers=(1.0, 0.1), breakpoints=(0.5,))
     reference = solve_monolithic(problem, mesh)
-    sub = Mesh1D.from_nodes(mesh.nodes[: 21])
+    sub = Mesh1D(mesh.nodes[: 21])
     restriction = SpaceTimeField(sub, problem.time_step, reference.values[:, :21])
     flux = variational_flux(restriction, problem.diffusion, "right")
     for sigma in (0.3, 1.7, 12.0):
@@ -367,7 +367,7 @@ def test_impulse_responses_match_stepping_at_ratio_1e8():
     band = frequency_band_from_grid(problem.final_time, problem.time_step)
     params = optimize("I", band, DiffusionPair(1.0, 1e-8)).params
     mesh = Mesh1D.uniform(0.0, 1.0, 40)
-    left, right = Mesh1D.from_nodes(mesh.nodes[:21]), Mesh1D.from_nodes(mesh.nodes[20:])
+    left, right = Mesh1D(mesh.nodes[:21]), Mesh1D(mesh.nodes[20:])
     _check_impulse_responses(problem, left, {"right": params.sigma1})
     _check_impulse_responses(problem, right, {"left": params.sigma2})
 

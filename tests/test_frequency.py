@@ -26,8 +26,23 @@ def test_band_reference_grid():
     assert band.k_r == pytest.approx(20.0, rel=1e-14)
     # with 8*T*dt = 1 the product wt1*wt2 collapses to pi exactly
     assert band.wt1 * band.wt2 == pytest.approx(math.pi, abs=1e-12)
-    assert band.omega_min == pytest.approx(math.pi / 10.0)
-    assert band.omega_max == pytest.approx(40.0 * math.pi)
+
+
+@pytest.mark.parametrize(
+    "dt, wt2, k_r",
+    [
+        # Table 1 and tps run at dt = 1/40; dt-sweep runs all four.
+        (1.0 / 20.0, 5.604991216397929, 14.142135623730953),
+        (1.0 / 40.0, 7.926654595212022, 20.0),
+        (1.0 / 80.0, 11.209982432795858, 28.284271247461906),
+        (1.0 / 160.0, 15.853309190424044, 40.0),
+    ],
+)
+def test_band_of_each_scenario_grid_is_pinned_bit_for_bit(dt, wt2, k_r):
+    band = frequency_band_from_grid(5.0, dt)
+    assert band.wt1 == 0.3963327297606011
+    assert band.wt2 == wt2
+    assert band.k_r == k_r
 
 
 def test_band_unit_wt1():
@@ -45,15 +60,13 @@ def test_band_rejects_collapse_and_bad_inputs():
             frequency_band_from_grid(T, dt)
 
 
-def test_band_from_wt_roundtrip_and_degenerate():
-    band = frequency_band_from_grid(5.0, 1.0 / 40.0)
-    again = FrequencyBand.from_wt(band.wt1, band.wt2)
-    assert again.final_time == pytest.approx(5.0, rel=1e-12)
-    assert again.time_step == pytest.approx(1.0 / 40.0, rel=1e-12)
-    single = FrequencyBand.from_wt(2.0, 2.0)
+def test_band_constructor_checks_its_endpoints():
+    single = FrequencyBand(2.0, 2.0)
     assert single.degenerate
-    with pytest.raises(ValueError):
-        FrequencyBand.from_wt(2.0, 1.0)
+    assert single.k_r == 1.0
+    for wt1, wt2 in ((2.0, 1.0), (0.0, 1.0), (1.0, math.nan), (math.nan, 1.0), (1.0, math.inf)):
+        with pytest.raises(ValueError):
+            FrequencyBand(wt1, wt2)
 
 
 def test_rho_symmetric_hand_value():
@@ -239,7 +252,7 @@ def test_max_rho_over_band_version2_endpoint():
 
 
 def test_max_rho_over_band_degenerate_and_validation():
-    band = FrequencyBand.from_wt(2.0, 2.0)
+    band = FrequencyBand(2.0, 2.0)
     diff = DiffusionPair(1.0, 1.0)
     params = TransmissionParams.custom(1.0, 1.0, diff)
     wt_star, rho_star = max_rho_over_band(params, diff, band, 64)

@@ -46,7 +46,7 @@ def _pair(mu):
 
 
 def test_restriction_interval_small_mu():
-    band = FrequencyBand.from_wt(1.0, 4.0)
+    band = FrequencyBand(1.0, 4.0)
     assert restriction_interval_v1(band, 2.0) == (
         pytest.approx(2.0),
         pytest.approx(8.0),
@@ -54,7 +54,7 @@ def test_restriction_interval_small_mu():
 
 
 def test_restriction_interval_large_mu_matches_formula():
-    band = FrequencyBand.from_wt(1.0, 2.0)
+    band = FrequencyBand(1.0, 2.0)
     mu = 10.0
     lo, hi = restriction_interval_v1(band, mu)
     delta = math.sqrt((mu * mu - 4 * mu + 1) * (mu * mu + 1))
@@ -71,7 +71,7 @@ def test_restriction_interval_large_mu_matches_formula():
 
 def test_restriction_interval_boundary_mu_continuous():
     mu = 2.0 + math.sqrt(3.0)
-    band = FrequencyBand.from_wt(1.0, 2.0)
+    band = FrequencyBand(1.0, 2.0)
     lo, hi = restriction_interval_v1(band, mu)
     # (mu-1)^2 == 2*mu at the boundary, so both branch formulas coincide
     assert lo == pytest.approx((mu - 1.0) * 1.0, rel=1e-12)
@@ -80,7 +80,7 @@ def test_restriction_interval_boundary_mu_continuous():
 
 
 def test_quartic_roots_frozen_case():
-    band = FrequencyBand.from_wt(1.0, 2.0)
+    band = FrequencyBand(1.0, 2.0)
     roots = quartic_positive_roots(band, 10.0)
     # independent oracle: numpy's polynomial root finder
     oracle = np.roots([0.5, 0.0, (10 * 2 - 1) * (2 - 10 * 1), 0.0, 2 * 100 * 1 * 4])
@@ -102,7 +102,7 @@ def test_quartic_double_root_at_case_boundary():
     for mu in (5.0, 10.0, 50.0):
         delta = math.sqrt((mu * mu - 4 * mu + 1) * (mu * mu + 1))
         h2 = ((mu - 1) ** 2 + delta) / (2 * mu)
-        band = FrequencyBand.from_wt(1.0, h2)
+        band = FrequencyBand(1.0, h2)
         b = (mu * band.wt2 - band.wt1) * (band.wt2 - mu * band.wt1)
         c = 2 * mu * mu * (band.wt1 * band.wt2) ** 2
         assert abs(b * b - 2 * c) <= 1e-9 * b * b
@@ -113,7 +113,7 @@ def test_quartic_empty_iff_kr_above_h2(rng):
     for _ in range(200):
         mu = rng.uniform(2.0 + math.sqrt(3.0) + 1e-6, 60.0)
         k_r = rng.uniform(1.01, 100.0)
-        band = FrequencyBand.from_wt(1.0, k_r)
+        band = FrequencyBand(1.0, k_r)
         delta = math.sqrt((mu * mu - 4 * mu + 1) * (mu * mu + 1))
         h2 = ((mu - 1) ** 2 + delta) / (2 * mu)
         roots = quartic_positive_roots(band, mu)
@@ -162,7 +162,7 @@ def test_optimize_v1_case_ii_interval():
 
 
 def test_optimize_v1_case_iii_two_minimizers():
-    band = FrequencyBand.from_wt(1.0, 2.0)
+    band = FrequencyBand(1.0, 2.0)
     diff = _pair(10.0)
     res = optimize_v1(band, diff)
     assert res.case_data.branch == "case_iii"
@@ -190,8 +190,8 @@ def test_optimize_v1_case_boundaries_closed_sides():
     delta = math.sqrt((mu * mu - 4 * mu + 1) * (mu * mu + 1))
     h1 = (mu * mu + 1 + math.sqrt((mu * mu - 4 * mu + 1) * (mu * mu + 4 * mu + 1))) / (4 * mu)
     h2 = ((mu - 1) ** 2 + delta) / (2 * mu)
-    assert version_i_case_data(FrequencyBand.from_wt(1.0, h1), mu).branch == "case_iii"
-    assert version_i_case_data(FrequencyBand.from_wt(1.0, h2), mu).branch == "case_ii"
+    assert version_i_case_data(FrequencyBand(1.0, h1), mu).branch == "case_iii"
+    assert version_i_case_data(FrequencyBand(1.0, h2), mu).branch == "case_ii"
     with pytest.raises(ValueError):
         version_i_case_data(REF_BAND, 0.5)
 
@@ -259,7 +259,7 @@ def test_optimize_v2_reference_value_and_equioscillation():
 
 
 def test_optimize_v2_degenerate_band():
-    band = FrequencyBand.from_wt(3.0, 3.0)
+    band = FrequencyBand(3.0, 3.0)
     res = optimize_v2(band, _pair(4.0))
     assert res.params.q == pytest.approx(math.sqrt(2.0) * 3.0, rel=1e-14)
 
@@ -268,7 +268,7 @@ def test_optimize_v2_degenerate_band():
 
 
 def test_restriction_intervals_v3_examples():
-    band = FrequencyBand.from_wt(1.0, 2.0)
+    band = FrequencyBand(1.0, 2.0)
     (p_lo, p_hi), (q_lo, q_hi) = restriction_intervals_v3(band, 10.0)
     assert p_lo == pytest.approx(math.sqrt(101.0) - 9.0, rel=1e-12)
     assert p_hi == pytest.approx(2.0 * (math.sqrt(101.0) - 9.0), rel=1e-12)
@@ -286,7 +286,7 @@ def test_restriction_intervals_v3_examples():
 def test_restriction_intervals_v3_endpoints_are_stationary():
     # the interval ends are where d(rho)/dp vanishes at the band endpoints:
     # rho(wt1, . ) is minimized at p_lo and rho(wt2, . ) at p_hi
-    band = FrequencyBand.from_wt(1.0, 2.0)
+    band = FrequencyBand(1.0, 2.0)
     mu = 10.0
     diff = _pair(mu)
     (p_lo, p_hi), _ = restriction_intervals_v3(band, mu)
@@ -337,12 +337,12 @@ def test_optimize_v3_reference_case_certified():
 
 def test_optimize_v3_ordering_and_asymptotic_estimate():
     mu = math.sqrt(10.0)
-    for band in (REF_BAND, FrequencyBand.from_wt(0.3, 30.0)):
+    for band in (REF_BAND, FrequencyBand(0.3, 30.0)):
         res = optimize_v3(band, _pair(mu))
         hi = math.sqrt(2.0 * band.wt1 * band.wt2)
         assert res.params.p <= hi <= res.params.q
     # the closed-form estimate 2*mu/(mu-1)*wt1 is the wide-band limit
-    wide = FrequencyBand.from_wt(0.39633, 0.39633 * 1e4)
+    wide = FrequencyBand(0.39633, 0.39633 * 1e4)
     res = optimize_v3(wide, _pair(mu))
     estimate = 2.0 * mu / (mu - 1.0) * wide.wt1
     assert abs(res.params.p - estimate) / estimate <= 0.05
@@ -371,7 +371,7 @@ def test_optimize_v3_equal_coefficients_beats_version2(nu):
 
 
 def test_optimize_v3_degenerate_band_point_solution():
-    band = FrequencyBand.from_wt(2.0, 2.0)
+    band = FrequencyBand(2.0, 2.0)
     mu = 3.0
     res = optimize_v3(band, _pair(mu))
     root = math.sqrt(mu * mu + 1.0)

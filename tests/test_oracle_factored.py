@@ -86,7 +86,7 @@ PAIRS = {
     "nu1<nu2": DiffusionPair(0.1, 1.0),
     "mu=1": DiffusionPair(1.0, 1.0),
 }
-BANDS = {"ref": REF_BAND, "degenerate": FrequencyBand.from_wt(2.0, 2.0)}
+BANDS = {"ref": REF_BAND, "degenerate": FrequencyBand(2.0, 2.0)}
 
 
 @pytest.mark.parametrize("grid", [(16, 16), (64, 48)])

@@ -255,6 +255,6 @@ def test_three_subdomain_iteration_matches_monolithic():
 
 
 def test_history_invariants():
-    history = ConvergenceHistory((0.5, 0.1), 1e-8, False, None, 2)
+    history = ConvergenceHistory((0.5, 0.1), 1e-8, None, 2)
     assert history.max_iter == 2
     assert not history.converged
