@@ -250,6 +250,14 @@ class ExperimentConfig:
             raise ConfigError("scan_points must be >= 500 for v3_root_scan")
         if self.scenario in _LAYERED and len(self.nu_layers) != len(self.interfaces) + 1:
             raise ConfigError("nu_layers must have exactly one more entry than interfaces")
+        if self.scenario in _SWEEPS and len(self.interfaces) != 1:
+            raise ConfigError(
+                f"the two-domain sweeps need exactly one interface, got {len(self.interfaces)}"
+            )
+        if self.scenario in _SWEEPS + ("rho_curves",):
+            for nu2 in [self.nu1 / ratio for ratio in self.effective_ratios()]:
+                if not _RULES["positive"](nu2):
+                    raise ConfigError(f"nu1/ratio must be positive and finite, got {nu2!r}")
         if self.scenario in ("rho_curves", "v3_root_scan"):
             try:
                 frequency_band_from_grid(self.T, self.dt)
@@ -424,11 +432,6 @@ def _run_versions(
     """
     try:
         mesh, deco = _fit_grid(cfg, dx, dt)
-        if len(layers) != len(cfg.interfaces) + 1:
-            raise ConfigError(
-                f"{len(layers)} diffusion layers need {len(layers) - 1} interfaces, "
-                f"got {len(cfg.interfaces)}"
-            )
     except ConfigError as exc:
         for version in cfg.versions:
             yield version, _CaseResult(error=str(exc))
@@ -438,10 +441,6 @@ def _run_versions(
     reference = solve_monolithic(problem, mesh)
     for version in cfg.versions:
         yield version, _run_layered_case(cfg, version, deco, problem, reference)
-
-
-def _two_domain_layers(cfg: ExperimentConfig, ratio: float) -> tuple[float, ...]:
-    return (cfg.nu1, cfg.nu1 / ratio)
 
 
 def run_ratio_sweep(cfg: ExperimentConfig) -> list[str]:
@@ -460,7 +459,7 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> list[str]:
     ]
     rows = []
     for ratio in cfg.effective_ratios():
-        layers = _two_domain_layers(cfg, ratio)
+        layers = (cfg.nu1, cfg.nu1 / ratio)
         for version, case in _run_versions(cfg, layers, cfg.dx, cfg.dt):
             p = case.params
             rows.append(
@@ -486,7 +485,7 @@ def _run_grid_sweep(cfg: ExperimentConfig, kind: str) -> list[str]:
     rows = []
     paths = []
     for ratio in cfg.effective_ratios():
-        layers = _two_domain_layers(cfg, ratio)
+        layers = (cfg.nu1, cfg.nu1 / ratio)
         # Solved grid by grid, so each reference serves every version, and
         # written version by version: by_value[i][v] is (row, history path).
         by_value = []

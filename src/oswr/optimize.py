@@ -170,7 +170,7 @@ class OptimizedResult:
     ``interval_of_minimizers`` (flat minimum; params holds a representative)
     or ``two_minimizers`` (params holds the smaller one, ``minimizers``
     both).  Version III results carry the bisection bracket and residual
-    history.
+    history; the residuals are scaled as ``optimize_v3`` evaluates them.
     """
 
     params: TransmissionParams
@@ -289,7 +289,7 @@ def restriction_intervals_v3(
         raise ValueError(f"mu must be >= 1, got {mu}")
     wt1, wt2 = band.wt1, band.wt2
     root = math.sqrt(mu * mu + 1.0)
-    p_scale = root - (mu - 1.0)
+    p_scale = 1.0 + 1.0 / (root + mu)  # root - (mu - 1), which cancels for large mu
     q_scale = (root + (mu - 1.0)) / mu
     return ((wt1 * p_scale, wt2 * p_scale), (wt1 * q_scale, wt2 * q_scale))
 
@@ -307,7 +307,7 @@ def v3_bracket(band: FrequencyBand, mu: float) -> tuple[float, float]:
     return (p_lo + V3_BRACKET_SHRINK * (p_hi - p_lo), p_hi)
 
 
-def v3_equation_sides(p, band: FrequencyBand, mu: float):
+def v3_equation_sides(p, band: FrequencyBand, mu: float, scale_exp: int = 0):
     """Left and right sides of the Version III scalar equation at p.
 
     With q tied to p by p*q = 2*wt1*wt2, equality of rho at wt1 and at the
@@ -316,22 +316,28 @@ def v3_equation_sides(p, band: FrequencyBand, mu: float):
         LHS = f(wt1) * f(wt2),   RHS = f(sqrt(wt1*wt2))**2,
         f(w) = ((p - w)^2 + w^2) / ((p + mu*w)^2 + (mu*w)^2).
 
-    Broadcasts over array p.
+    f is of order mu**-2, so both sides underflow beyond mu of about 1e77.
+    ``scale_exp`` = k gives each f(w) times 4**k, with p and mu divided by
+    2**k: powers of two scale exactly, so wherever the unscaled sides are
+    normal doubles every sign and comparison is the same.  Broadcasts
+    over array p.
     """
     p = np.asarray(p, dtype=float)
     w1, w2 = band.wt1, band.wt2
+    m = math.ldexp(mu, -scale_exp)
+    p_m = p * math.ldexp(1.0, -scale_exp)
 
     def f(w):
-        return ((p - w) ** 2 + w * w) / ((p + mu * w) ** 2 + (mu * w) ** 2)
+        return ((p - w) ** 2 + w * w) / ((p_m + m * w) ** 2 + (m * w) ** 2)
 
     lhs = f(w1) * f(w2)
     rhs = f(math.sqrt(w1 * w2)) ** 2
     return lhs, rhs
 
 
-def v3_residual(p, band: FrequencyBand, mu: float):
-    """LHS - RHS of the Version III scalar equation; continuous in p."""
-    lhs, rhs = v3_equation_sides(p, band, mu)
+def v3_residual(p, band: FrequencyBand, mu: float, scale_exp: int = 0):
+    """LHS - RHS of ``v3_equation_sides``; continuous in p."""
+    lhs, rhs = v3_equation_sides(p, band, mu, scale_exp)
     out = lhs - rhs
     if np.isscalar(p) or np.asarray(p).ndim == 0:
         return float(out)
@@ -343,10 +349,10 @@ def _v3_curve_max(p, band: FrequencyBand, mu: float):
 
     On the curve the endpoint values agree, so the maximum is the larger of
     the endpoint value and the interior value at sqrt(p*q/2) = sqrt(wt1*wt2).
-    Uses the same normalized form as the scalar equation (a factor mu**2
-    relates it to rho**2 and cancels in comparisons).
+    Uses the scaled form of the scalar equation that ``optimize_v3``
+    bisects (a positive factor relates it to rho**2 and cancels).
     """
-    lhs, rhs = v3_equation_sides(p, band, mu)
+    lhs, rhs = v3_equation_sides(p, band, mu, math.frexp(mu)[1])
     return np.maximum(lhs, rhs)
 
 
@@ -391,12 +397,15 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     longer splits it, so the root is located to one unit in the last place
     whatever the residual's scale; for the same reason it compares residual
     signs, not products of residuals, which underflow to zero from mu of
-    about 1e39 on (the residual scales like mu**-4).  The scalar equation
-    has a root whenever the band is wide enough (k_r of roughly 6 and
-    beyond); for narrower bands the endpoint level is minimized along the
-    constraint curve instead; on a degenerate band both ranges of
-    ``restriction_intervals_v3`` shrink to the point minimizer.  Raises
-    OptimizationError on inconsistent residual signs or a stalled bisection.
+    about 1e39 on (the residual scales like mu**-4); and it scales the
+    residual by the binary exponent of mu (``scale_exp`` of
+    ``v3_equation_sides``), which keeps it normal at any double mu.  The
+    scalar equation has a root whenever the band is wide enough (k_r of
+    roughly 6 and beyond); for narrower bands the endpoint level is
+    minimized along the constraint curve instead; on a degenerate band
+    both ranges of ``restriction_intervals_v3`` shrink to the point
+    minimizer.  Raises OptimizationError on inconsistent residual signs or
+    a stalled bisection.
     """
     norm = diff.normalized()
     swapped = norm is not diff
@@ -416,8 +425,9 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
         return build(p_n, q_n)
     bracket = v3_bracket(band, mu)
     a, b = bracket
-    fa = v3_residual(a, band, mu)
-    fb = v3_residual(b, band, mu)
+    k = math.frexp(mu)[1]
+    fa = v3_residual(a, band, mu, k)
+    fb = v3_residual(b, band, mu, k)
     history: list[float] = [fa, fb]
     if fa == 0.0:
         root = a
@@ -443,7 +453,7 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
             if mid <= a or mid >= b:
                 root = mid  # a and b are adjacent doubles
                 break
-            fm = v3_residual(mid, band, mu)
+            fm = v3_residual(mid, band, mu, k)
             history.append(fm)
             if fm == 0.0:
                 root = mid

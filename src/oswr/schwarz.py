@@ -66,7 +66,6 @@ __all__ = [
 INIT_MODES = ("zero", "from_initial", "exact")
 SWEEP_MODES = ("gauss_seidel", "jacobi")
 DIVERGENCE_FACTOR = 1e6
-_FFT_BLOCK = 8  # field columns per inverse FFT; bounds the complex temporaries
 
 
 class IterationDiverged(RuntimeError):
@@ -169,20 +168,20 @@ def _initial_robin_error(
     decomposition: Decomposition,
     params: list[TransmissionParams],
     reference: SpaceTimeField,
-) -> list[np.ndarray]:
-    """First Robin-data error g - g*, two series per interface.
+) -> np.ndarray:
+    """First Robin-data error g - g*: two rows per interface, levels 1..n_steps.
 
-    Entry 2i goes into the right end of subdomain i (coefficient sigma1 of
-    interface i), entry 2i + 1 into the left end of subdomain i + 1
+    Row 2i goes into the right end of subdomain i (coefficient sigma1 of
+    interface i), row 2i + 1 into the left end of subdomain i + 1
     (sigma2).  Robin data are sigma * u + outward flux; the first guess
     takes u as 0 (``zero``) or as u0 at the interface node
     (``from_initial``) and the flux as 0, the exact data g* take both
     from the monolithic solution.  ``exact`` starts with no error.
     """
+    delta = np.zeros((2 * len(params), problem.n_steps))
     if init == "exact":
-        return [np.zeros(problem.n_steps) for _ in range(2 * len(params))]
+        return delta
     u0 = problem.initial_values(decomposition.global_mesh)
-    delta = []
     for i, (p, node) in enumerate(zip(params, decomposition.interface_nodes)):
         guess = u0[node] if init == "from_initial" else 0.0
         miss = guess - reference.values[1:, node]
@@ -197,22 +196,9 @@ def _initial_robin_error(
             problem.source,
             problem.lumped_mass,
         )
-        delta += [p.sigma1 * miss - flux, p.sigma2 * miss + flux]
+        delta[2 * i] = p.sigma1 * miss - flux
+        delta[2 * i + 1] = p.sigma2 * miss + flux
     return delta
-
-
-def _at_robin_ends(j: int, n_sub: int, per_side: list) -> dict:
-    """Subdomain j's entries of a list with two per interface, by Robin end.
-
-    The list is laid out like the Robin data: entries 2j - 1 (left end)
-    and 2j (right end).
-    """
-    ends = {}
-    if j > 0:
-        ends["left"] = per_side[2 * j - 1]
-    if j < n_sub - 1:
-        ends["right"] = per_side[2 * j]
-    return ends
 
 
 class _SubdomainResponse:
@@ -228,32 +214,33 @@ class _SubdomainResponse:
     ``fem.robin_impulse_responses`` (one assembly and one propagator for
     all Robin ends of the subdomain, no time loop); the convolutions are
     evaluated with FFTs of length 2 * n_steps, which makes them exact
-    linear (not circular) convolutions.
+    linear (not circular) convolutions: one rfft of the Robin series and
+    one irfft of the whole field.  ``spectra[r, i]`` is the DFT of node
+    i's response to an impulse at Robin end r, left end first.
     """
 
     def __init__(self, problem: HeatProblem, mesh: Mesh1D, sigmas: dict[str, float]):
         """``sigmas`` maps each Robin end to its coefficient; other ends are Dirichlet."""
         responses = robin_impulse_responses(problem, mesh, sigmas)
-        self.sides = tuple(responses)
         self.n_steps = problem.n_steps
-        self.spectra = [
-            np.fft.rfft(h.T, 2 * self.n_steps) for h in responses.values()
-        ]
+        self.spectra = np.fft.rfft(
+            np.stack([h.T for h in responses.values()]), 2 * self.n_steps
+        )
+        # Reused: a fresh output per call was paged in anew on every call.
+        self._field = np.empty((self.spectra.shape[1], 2 * self.n_steps))
 
-    def __call__(self, series: dict[str, np.ndarray]) -> np.ndarray:
-        """H_j applied to a series per Robin end: levels 1..n_steps (rows) by node."""
+    def __call__(self, series: np.ndarray) -> np.ndarray:
+        """H_j applied to one series per Robin end (rows, left end first).
+
+        Returns levels 1..n_steps (rows) by node.
+        """
         n = self.n_steps
-        g_hat = [np.fft.rfft(series[side], 2 * n) for side in self.sides]
-        n_nodes = self.spectra[0].shape[0]
-        out = np.empty((n, n_nodes))
-        # A few columns at a time keep the complex temporaries small.
-        for lo in range(0, n_nodes, _FFT_BLOCK):
-            cols = slice(lo, lo + _FFT_BLOCK)
-            acc = self.spectra[0][cols] * g_hat[0]
-            for spectrum, g in zip(self.spectra[1:], g_hat[1:]):
-                acc += spectrum[cols] * g
-            out[:, cols] = np.fft.irfft(acc, 2 * n)[:, :n].T
-        return out
+        g_hat = np.fft.rfft(series, 2 * n)
+        acc = self.spectra[0] * g_hat[0]
+        for spectrum, g in zip(self.spectra[1:], g_hat[1:]):
+            acc += spectrum * g
+        # A copy: the deviation outlives the buffer's next use.
+        return np.fft.irfft(acc, 2 * n, out=self._field)[:, :n].copy().T
 
 
 def oswr_iterate(
@@ -306,27 +293,31 @@ def oswr_iterate(
     delta = _initial_robin_error(init, problem, decomposition, params, reference)
     sigma_sums = [p.sigma1 + p.sigma2 for p in params]
     sigmas = [s for p in params for s in (p.sigma1, p.sigma2)]
+    # Subdomain j's Robin ends are rows 2j - 1 (left) and 2j (right) of the
+    # error; the first subdomain has no left end and the last no right end,
+    # so zipping the side names with its rows pairs each with its own.
+    ends = [slice(max(2 * j - 1, 0), min(2 * j + 1, len(sigmas))) for j in range(n_sub)]
     responses = [
-        _SubdomainResponse(problem, mesh_j, _at_robin_ends(j, n_sub, sigmas))
-        for j, mesh_j in enumerate(decomposition.submeshes)
+        _SubdomainResponse(problem, mesh, dict(zip(("left", "right")[j == 0 :], sigmas[rows])))
+        for j, (mesh, rows) in enumerate(zip(decomposition.submeshes, ends))
     ]
 
     errors: list[float] = []
     iterations = None
 
     for k in range(1, max_iter + 1):
-        # Subdomain j reads entries 2j - 1 (left end) and 2j (right end) and
-        # writes its neighbors' entries 2j - 2 and 2j + 1.
-        data = delta if sweep == "gauss_seidel" else list(delta)
+        # Subdomain j reads its own rows and writes its neighbors' rows
+        # 2j - 2 and 2j + 1.
+        data = delta if sweep == "gauss_seidel" else delta.copy()
         deviations: list[np.ndarray] = []
-        for j, response in enumerate(responses):
-            series = _at_robin_ends(j, n_sub, data)
+        for j, (response, rows) in enumerate(zip(responses, ends)):
+            series = data[rows]
             dev = response(series)
             deviations.append(dev)
             if j > 0:
-                delta[2 * j - 2] = sigma_sums[j - 1] * dev[:, 0] - series["left"]
+                delta[2 * j - 2] = sigma_sums[j - 1] * dev[:, 0] - series[0]
             if j < n_sub - 1:
-                delta[2 * j + 1] = sigma_sums[j] * dev[:, -1] - series["right"]
+                delta[2 * j + 1] = sigma_sums[j] * dev[:, -1] - series[-1]
 
         err = combined_error(deviations)
         if not math.isfinite(err):

@@ -160,15 +160,21 @@ def test_ratio_sweep_schema_and_precision(tmp_path):
 
 
 def test_reruns_are_byte_identical(tmp_path):
-    cfg_a = _small_cfg(tmp_path, out_dir=str(tmp_path / "a"))
-    cfg_b = _small_cfg(tmp_path, out_dir=str(tmp_path / "b"))
-    path_a = run_ratio_sweep(cfg_a)[0]
-    path_b = run_ratio_sweep(cfg_b)[0]
-    with open(path_a, "rb") as fh:
-        blob_a = fh.read()
-    with open(path_b, "rb") as fh:
-        blob_b = fh.read()
-    assert blob_a == blob_b
+    # Every artifact the iteration writes: counts, error histories and the
+    # merged field.
+    inputs = {
+        "ratio_sweep": {},
+        "dt_sweep": {"dts": (1.0 / 4.0, 1.0 / 8.0)},
+        "tps_three_layer": {"nu_layers": (1.0, 0.1, 0.01), "interfaces": (0.25, 0.5)},
+    }
+    for scenario, extra in inputs.items():
+        written = []
+        for run in ("a", "b"):
+            out = tmp_path / scenario / run
+            cfg = _small_cfg(tmp_path, scenario=scenario, out_dir=str(out), **extra)
+            run_scenario(cfg)
+            written.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert written[0] == written[1], scenario
 
 
 def test_ratio_sweep_records_row_failure_and_continues(tmp_path):
@@ -185,7 +191,6 @@ def test_ratio_sweep_records_row_failure_and_continues(tmp_path):
     [
         ({"dt": 0.3}, "dt=0.3 does not divide"),
         ({"dx": 1.0 / 3.0}, "does not fit the interfaces"),
-        ({"interfaces": (0.25, 0.5)}, "2 diffusion layers need 1 interfaces"),
     ],
 )
 def test_case_that_does_not_fit_its_grid_is_a_row_error(tmp_path, override, fragment):
@@ -527,7 +532,7 @@ def _config_seen_by_run(monkeypatch, argv):
 
 
 _SAMPLE_TEXT = {"float": "0.125", "int": "700", "floats": "0.25,0.5", "strs": "II,I"}
-_SAMPLE_TEXT_BY_KEY = {"init": "exact", "sweep": "jacobi"}
+_SAMPLE_TEXT_BY_KEY = {"init": "exact", "sweep": "jacobi", "interfaces": "0.25"}
 
 
 _COMMANDS = {scenario: command for command, scenario in _SCENARIO_COMMANDS.items()}
@@ -865,3 +870,63 @@ def test_sweep_with_some_failing_grids_still_runs(tmp_path):
     assert main(argv) == 0
     _, rows = _read_rows(str(out / "dt_sweep.csv"))
     assert [row[5] for row in rows] == ["dt=0.3 does not divide T=1.0", ""]
+
+
+@pytest.mark.parametrize("command", ["ratio-sweep", "dt-sweep", "dx-sweep"])
+def test_two_domain_sweep_with_several_interfaces_is_a_config_error(tmp_path, capsys, command):
+    # nu1 and nu1/ratio are two layers, so no row of such a sweep can run.
+    out = tmp_path / "out"
+    argv = [command, "--interfaces", "0.25,0.5", "--ratios", "10", "--versions", "II"]
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "config error: the two-domain sweeps need exactly one interface, got 2\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, quotient",
+    [
+        (["ratio-sweep", "--nu1", "1e-300", "--ratios", "1e30", "--versions", "II"], 0.0),
+        (["rho-curves", "--nu1", "1e-300", "--ratios", "1e30"], 0.0),
+        (["ratio-sweep", "--nu1", "1e300", "--ratios", "1e-10"], math.inf),
+        (["dt-sweep", "--nu1", "1e-300", "--ratios", "10,1e30"], 0.0),
+    ],
+)
+def test_second_coefficient_outside_the_double_range_is_a_config_error(
+    tmp_path, capsys, argv, quotient
+):
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: nu1/ratio must be positive and finite, got {quotient!r}\n"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, csv", [("ratio-sweep", "ratio_sweep.csv"), ("rho-curves", "rho_curves.csv")]
+)
+def test_subnormal_second_coefficient_runs_clean(tmp_path, command, csv):
+    # nu1/ratio = 1e-310 is subnormal but positive: a valid configuration.
+    out = tmp_path / "out"
+    argv = [command, "--nu1", "1e-300", "--ratios", "1e10", "--versions", "II"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    for row in _rows_as_dicts(str(out / csv)):
+        assert row.get("error", "") == ""
+        for name, value in row.items():
+            if name not in ("version", "error", "iterations"):
+                assert math.isfinite(float(value)), name
+
+
+def test_version_iii_converges_at_a_jump_of_1e200(tmp_path):
+    # The bisection's residual, of order mu**-4, underflowed to 0 at the
+    # bracket ends beyond a ratio of about 1.5e154, and the left end came out.
+    out = tmp_path / "out"
+    argv = ["ratio-sweep", "--ratios", "1e200", "--versions", "III", "--out-dir", str(out)]
+    assert main(argv) == 0
+    (row,) = _rows_as_dicts(str(out / "ratio_sweep.csv"))
+    assert row["error"] == ""
+    assert float(row["p"]) == pytest.approx(0.555420969392117, rel=1e-12)
+    assert int(row["iterations"]) == 6

@@ -509,3 +509,19 @@ def test_optimize_dispatch():
     assert optimize("I", REF_BAND, diff).params.version == "I"
     with pytest.raises(ValueError):
         optimize("X", REF_BAND, diff)
+
+
+@pytest.mark.parametrize("ratio", [1e32, 1e160, 1e200, 1e300])
+def test_optimize_v3_certifies_at_every_jump_a_double_can_hold(ratio):
+    # From a ratio of about 8e31 the lower end of the p range cancelled to
+    # 0, so the oracle could not run; beyond about 1.5e154 the bisection's
+    # residual underflowed to 0 and the left end of the bracket came out.
+    diff = DiffusionPair(1.0, 1.0 / ratio)
+    res = optimize_v3(REF_BAND, diff)
+    _, oracle_val = brute_force_minmax(REF_BAND, diff, "III", 512, 128)
+    assert res.rho_star <= oracle_val * (1.0 + 1e-9)
+
+
+def test_restriction_interval_v3_keeps_its_lower_end_at_huge_jumps():
+    (p_lo, _), _ = restriction_intervals_v3(REF_BAND, 1e100)
+    assert p_lo == pytest.approx(REF_BAND.wt1, rel=1e-15)

@@ -178,7 +178,7 @@ def test_superposition_matches_direct_solve(rng, sides, lumped_mass):
     response = schwarz._SubdomainResponse(
         problem, mesh, {side: sigmas[side] for side in sides}
     )
-    deviation = response({side: series[side] - first[side] for side in sides})
+    deviation = response(np.stack([series[side] - first[side] for side in sides]))
     direct = direct_solve(series)
 
     rebuilt = direct_solve(first).values[1:] + deviation
