@@ -39,6 +39,7 @@ from .fem import (
     DiffusionProfile,
     HeatProblem,
     Mesh1D,
+    NonFiniteSolution,
     RobinBoundaryData,
     SpaceTimeField,
     assemble_operators,
@@ -81,6 +82,7 @@ __all__ = [
     "DiffusionProfile",
     "HeatProblem",
     "Mesh1D",
+    "NonFiniteSolution",
     "RobinBoundaryData",
     "SpaceTimeField",
     "assemble_operators",

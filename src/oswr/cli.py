@@ -23,6 +23,7 @@ from .experiments import (
     run_scenario,
     tps_defaults,
 )
+from .fem import NonFiniteSolution
 from .optimize import OptimizationError
 from .schwarz import IterationDiverged
 
@@ -112,7 +113,7 @@ def main(argv=None) -> int:
         return 1
     try:
         paths = run_scenario(cfg)
-    except (ScenarioError, IterationDiverged, OptimizationError) as exc:
+    except (ScenarioError, IterationDiverged, OptimizationError, NonFiniteSolution) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     for path in paths:

@@ -32,6 +32,7 @@ from typing import Callable
 import numpy as np
 
 __all__ = [
+    "NonFiniteSolution",
     "Mesh1D",
     "DiffusionProfile",
     "HeatProblem",
@@ -47,6 +48,15 @@ __all__ = [
 ]
 
 _NODE_SNAP_REL = 1e-9  # breakpoint/interface alignment tolerance, relative to dx
+
+
+class NonFiniteSolution(ValueError):
+    """Raised when a solve or an iterate built from finite data is not finite.
+
+    The problem is linear, so its values scale with the initial and
+    boundary data; data within a few orders of the largest double
+    overflow the arithmetic.
+    """
 
 
 @dataclass(frozen=True)
@@ -456,6 +466,8 @@ def solve_subdomain_robin(
         u = solver.solve(rhs)
         values[k] = u
 
+    if not np.all(np.isfinite(values)):
+        raise NonFiniteSolution("solution is not finite")
     return SpaceTimeField(mesh, dt, values)
 
 

@@ -217,10 +217,30 @@ def _version_i_split_roots(mu: float) -> tuple[float, float]:
     delta = sqrt((mu^2 - 4 mu + 1)(mu^2 + 1)) is real beyond the split.
     Since (mu - 1)^4 - delta^2 = 4 mu^2, the companion root
     sqrt((mu - 1)^2 - delta) is taken as 2 mu / outer: the difference itself
-    cancels, and comes out negative for some mu beyond about 2e8.
+    cancels, and comes out negative for some mu beyond about 2e8.  The
+    product under the root is of order mu**4, which overflows from mu of
+    about 1e77 on, so both are evaluated with (mu, 1) scaled by 2**-k (see
+    ``_version_i_scaling``) and scaled back.
     """
-    delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
-    return delta, math.sqrt((mu - 1.0) ** 2 + delta)
+    k, m, t = _version_i_scaling(mu)
+    delta = math.sqrt((m * m - 4.0 * m * t + t * t) * (m * m + t * t))
+    outer = math.sqrt((m - t) * (m - t) + delta)
+    return math.ldexp(delta, 2 * k), math.ldexp(outer, k)
+
+
+def _version_i_scaling(mu: float) -> tuple[int, float, float]:
+    """k, m = mu * 2**-k in [0.5, 1) and t = 2**-k, the scaled pair (mu, 1).
+
+    The Version I closed forms are homogeneous in (mu, 1): written in
+    (m, t), a form of degree d comes out times 2**(-d*k).  Powers of two
+    scale exactly, so wherever the direct form stays a normal double the
+    scaled one, scaled back, is the same double; and it stays finite for
+    every double mu.  Squares are written as products, because libm's
+    pow(x, 2) is not always correctly rounded and so does not commute
+    with the scaling.
+    """
+    k = math.frexp(mu)[1]
+    return k, math.ldexp(mu, -k), math.ldexp(1.0, -k)
 
 
 def _stationary_frequencies(version: str, v, mu: float) -> list:
@@ -235,7 +255,9 @@ def _stationary_frequencies(version: str, v, mu: float) -> list:
     if mu > MU_SPLIT:
         _, outer = _version_i_split_roots(mu)
         points.append(v / outer)
-        points.append(v * outer / (2.0 * mu))
+        # v * outer / (2 * mu), with outer and mu scaled so v * outer stays finite.
+        k, m, _ = _version_i_scaling(mu)
+        points.append(v * math.ldexp(outer, -k) / (2.0 * m))
     return points
 
 

@@ -39,6 +39,7 @@ from .frequency import (
     _rho_sq,
     _rho_sq_factor,
     _stationary_frequencies,
+    _version_i_scaling,
     _version_i_split_roots,
     rho,
 )
@@ -138,12 +139,15 @@ def version_i_case_data(band: FrequencyBand, mu: float) -> VersionICaseData:
             mu, k_r, "small_mu", None, None, None, None, center, None, r_c, r_ext
         )
     delta, _ = _version_i_split_roots(mu)
+    # h1 and h2 are of degree one in (mu, 1); see _version_i_scaling.
+    k, m, t = _version_i_scaling(mu)
     h1 = (
-        mu * mu
-        + 1.0
-        + math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 4.0 * mu + 1.0))
-    ) / (4.0 * mu)
-    h2 = ((mu - 1.0) ** 2 + delta) / (2.0 * mu)
+        m * m
+        + t * t
+        + math.sqrt((m * m - 4.0 * m * t + t * t) * (m * m + 4.0 * m * t + t * t))
+    ) / (4.0 * m)
+    h2 = ((m - t) * (m - t) + math.ldexp(delta, -2 * k)) / (2.0 * m)
+    h1, h2 = math.ldexp(h1, k), math.ldexp(h2, k)
     if h2 < h1 * (1.0 - 1e-12):
         raise CaseDataError(f"h2={h2} < h1={h1} for mu={mu}")
     lo, hi = restriction_interval_v1(band, mu)
@@ -205,22 +209,25 @@ def quartic_positive_roots(band: FrequencyBand, mu: float) -> list[float]:
     equation is solved as a quadratic in p**2 (larger root by the standard
     formula, smaller via the product of roots to avoid cancellation).
     Returns [] when there is no positive root, which happens exactly when
-    the band ratio exceeds h2(mu).
+    the band ratio exceeds h2(mu).  b*b is of order mu**4, so the quadratic
+    is solved for (p * 2**-k)**2 with (mu, 1) scaled as in
+    ``_version_i_scaling``: b comes out times 4**-k and c times 16**-k.
     """
     wt1, wt2 = band.wt1, band.wt2
-    b = (mu * wt2 - wt1) * (wt2 - mu * wt1)
-    c = 2.0 * mu * mu * wt1 * wt1 * wt2 * wt2
-    disc = b * b - 2.0 * c
+    k, m, t = _version_i_scaling(mu)
+    b = (m * wt2 - t * wt1) * (t * wt2 - m * wt1)
+    c_m = 2.0 * m * m * wt1 * wt1 * wt2 * wt2  # c * 4**-k, which stays normal
+    disc = b * b - 2.0 * (c_m * t * t)
     if disc < 0.0:
         return []
     root = math.sqrt(disc)
     y_hi = -b + root
     if y_hi <= 0.0:
         return []
+    p_hi = math.ldexp(math.sqrt(y_hi), k)
     if disc == 0.0:
-        return [math.sqrt(y_hi)]
-    y_lo = 2.0 * c / y_hi
-    return [math.sqrt(y_lo), math.sqrt(y_hi)]
+        return [p_hi]
+    return [math.sqrt(2.0 * c_m / y_hi), p_hi]
 
 
 def optimize_v1(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
@@ -490,6 +497,31 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
+# p rows of the Version III oracle whose lower bounds are built at once.
+_ORACLE_BLOCK_ROWS = 64
+
+
+def _pruned_first_argmin(bound_sq: np.ndarray, band_max, cap: float = math.inf):
+    """First row-major minimizer of ``band_max`` among candidates the bound keeps.
+
+    ``bound_sq`` holds a lower bound on each candidate's band maximum of
+    rho**2 (inf marks a candidate outside the search) and
+    ``band_max(flat)`` the band maxima of rho at flat candidate indices.
+    The threshold U is the smaller of ``cap`` and the band maximum of the
+    candidate with the smallest bound, so U is at least the minimum; a
+    candidate with sqrt(bound) > U is strictly above it and is skipped.
+    Returns (flat index, band maximum), or None when no candidate is kept.
+    """
+    flat = bound_sq.ravel()
+    threshold = min(cap, float(band_max(np.argmin(flat, keepdims=True))[0]))
+    kept = np.flatnonzero(np.sqrt(flat) <= threshold)
+    if kept.size == 0:
+        return None
+    maxima = band_max(kept)
+    j = int(np.argmin(maxima))
+    return int(kept[j]), float(maxima[j])
+
+
 def brute_force_minmax(
     band: FrequencyBand,
     diff: DiffusionPair,
@@ -507,18 +539,29 @@ def brute_force_minmax(
 
     The band maximum of a candidate is taken over the geometric frequency
     grid plus its interior stationary frequencies inside the band, as
-    ``max_rho_over_band`` does.  Versions I and II evaluate rho**2 for all
-    candidates in one array, padding the stationary-frequency slots that
-    fall outside the band with wt1, which the grid already holds.  For
-    Version III, rho**2 = (N1*N2)/(D1*D2), where N1, D1 depend only on
-    (p, wt) and N2, D2 only on (q, wt), so the four factors are computed
-    once on parameter grid x frequency grid and each p combines its row
-    with the q rows allowed by q >= p (a slice, as the q grid ascends).
-    Every element is the same floating-point expression as the direct
-    ``_rho_sq`` form, and max, square root and first-index argmin select
-    the same candidate, so the result is bit for bit the one of the direct
-    per-candidate scan.  Memory stays O(param_grid_size * freq_grid_size):
-    the parameter x parameter x frequency cube is never built.
+    ``max_rho_over_band`` does.  Only candidates that can win get it:
+
+    1. A lower bound on every candidate's maximum of rho**2 is the maximum
+       at three grid frequencies, the first, the middle and the last.  The
+       analytic optimum equioscillates at wt1, sqrt(wt1*wt2) and wt2, so
+       near it the bound is tight.
+    2. The threshold U is the band maximum of the candidate with the
+       smallest bound: a real candidate's value, so at least the minimum.
+    3. A candidate with sqrt(bound) > U is strictly above the minimum and
+       is dropped; the band maximum is taken for the rest (on the certify
+       cases one for Versions II and III), and the first row-major argmin
+       among them is the result.
+
+    Each element is the same floating-point expression as the direct
+    ``_rho_sq`` form, and ties are broken after the square root, as in
+    the direct scan, so the result is bit for bit the one of the direct
+    per-candidate scan.  For Version III, rho**2 = (N1*N2)/(D1*D2), where
+    N1, D1 depend only on (p, wt) and N2, D2 only on (q, wt): the four
+    factors are computed once on parameter grid x frequency grid, and the
+    bounds in blocks of ``_ORACLE_BLOCK_ROWS`` p rows, with the best value
+    so far capping the threshold.  Memory stays O(param_grid_size *
+    freq_grid_size): neither the parameter x parameter bound array nor the
+    parameter x parameter x frequency cube is built.
     """
     if param_grid_size < 16 or freq_grid_size < 16:
         raise ValueError("grid sizes must be >= 16")
@@ -526,6 +569,7 @@ def brute_force_minmax(
     swapped = norm is not diff
     mu = norm.mu
     freqs = band.geometric_grid(freq_grid_size)
+    samples = [0, freqs.size // 2, freqs.size - 1]
 
     if version in ("I", "II"):
         if version == "I":
@@ -539,11 +583,15 @@ def brute_force_minmax(
             make = TransmissionParams.version2
         crits = np.column_stack(_stationary_frequencies(version, grid, mu))
         crits[~((band.wt1 < crits) & (crits < band.wt2))] = band.wt1
-        wts = np.concatenate([np.broadcast_to(freqs, (grid.size, freqs.size)), crits], axis=1)
-        vals = _rho_sq(wts, sigma1[:, None], sigma2[:, None], diff.nu1, diff.nu2)
-        maxima = np.sqrt(vals.max(axis=1))
-        j = int(np.argmin(maxima))
-        return make(float(grid[j]), diff), float(maxima[j])
+
+        def band_max(j):
+            wts = np.concatenate([np.broadcast_to(freqs, (j.size, freqs.size)), crits[j]], axis=1)
+            vals = _rho_sq(wts, sigma1[j, None], sigma2[j, None], diff.nu1, diff.nu2)
+            return np.sqrt(vals.max(axis=1))
+
+        bound = _rho_sq(freqs[samples], sigma1[:, None], sigma2[:, None], diff.nu1, diff.nu2)
+        j, val = _pruned_first_argmin(bound.max(axis=1), band_max)
+        return make(float(grid[j]), diff), val
 
     if version != "III":
         raise ValueError(f"unknown version {version!r}")
@@ -555,21 +603,31 @@ def brute_force_minmax(
     sigma2 = math.sqrt(norm.nu1) * q_grid
     num1, den1 = _rho_sq_factor(freqs, sigma1[:, None], norm.nu1, norm.nu2)
     num2, den2 = _rho_sq_factor(freqs, sigma2[:, None], norm.nu2, norm.nu1)
-    best = (math.inf, p_grid[0], q_grid[0])
-    # The q grid ascends, so q_grid[k:] are the rows with q >= p.
-    for i, k in enumerate(np.searchsorted(q_grid, p_grid)):
-        if k == q_grid.size:
-            continue
-        p_v, q_v = p_grid[i], q_grid[k:]
-        band_max = ((num1[i] * num2[k:]) / (den1[i] * den2[k:])).max(axis=1)
-        # Interior stationary frequency sqrt(p*q/2) per q, clipped to the band.
-        w_c = np.clip(np.sqrt(p_v * q_v / 2.0), band.wt1, band.wt2)
-        interior = _rho_sq(w_c, sigma1[i], sigma2[k:], norm.nu1, norm.nu2)
-        maxima = np.sqrt(np.maximum(band_max, interior))
-        j = int(np.argmin(maxima))
-        if maxima[j] < best[0]:
-            best = (float(maxima[j]), float(p_v), float(q_v[j]))
-    val, p_best, q_best = best
+    n_q = q_grid.size
+
+    def band_max(flat):
+        i, k = np.divmod(flat, n_q)  # candidate (p_grid[i], q_grid[k])
+        vals = (num1[i] * num2[k]) / (den1[i] * den2[k])
+        # Interior stationary frequency sqrt(p*q/2), clipped to the band.
+        w_c = np.clip(np.sqrt(p_grid[i] * q_grid[k] / 2.0), band.wt1, band.wt2)
+        interior = _rho_sq(w_c, sigma1[i], sigma2[k], norm.nu1, norm.nu2)
+        return np.sqrt(np.maximum(vals.max(axis=1), interior))
+
+    best_val, best_flat = math.inf, 0
+    for start in range(0, p_grid.size, _ORACLE_BLOCK_ROWS):
+        rows = slice(start, start + _ORACLE_BLOCK_ROWS)
+        # rho**2 >= 0, so a zero start leaves the maximum over the samples.
+        bound = np.zeros((p_grid[rows].size, n_q))
+        for c in samples:
+            ratio = (num1[rows, c, None] * num2[:, c]) / (den1[rows, c, None] * den2[:, c])
+            np.maximum(bound, ratio, out=bound)
+        bound[q_grid < p_grid[rows, None]] = np.inf  # only q >= p is searched
+        offset = start * n_q
+        found = _pruned_first_argmin(bound, lambda flat: band_max(flat + offset), best_val)
+        if found is not None and found[1] < best_val:
+            best_flat, best_val = found[0] + offset, found[1]
+    i, k = divmod(best_flat, n_q)
+    p_best, q_best = float(p_grid[i]), float(q_grid[k])
     if swapped:
         p_best, q_best = q_best, p_best
-    return TransmissionParams.version3(p_best, q_best, diff), val
+    return TransmissionParams.version3(p_best, q_best, diff), best_val

@@ -44,6 +44,7 @@ import numpy as np
 from .fem import (
     HeatProblem,
     Mesh1D,
+    NonFiniteSolution,
     SpaceTimeField,
     robin_impulse_responses,
     solve_monolithic,
@@ -271,7 +272,7 @@ def oswr_iterate(
 
     Stops once the error against the monolithic solution drops to ``tol``.
     Raises IterationDiverged if the error exceeds 1e6 times the first
-    iterate's error, ValueError if an iterate is not finite; otherwise
+    iterate's error, NonFiniteSolution if an iterate is not finite; otherwise
     returns after ``max_iter`` with a history that has not converged.
     """
     if init not in INIT_MODES:
@@ -321,7 +322,7 @@ def oswr_iterate(
 
         err = combined_error(deviations)
         if not math.isfinite(err):
-            raise ValueError(f"iterate {k} is not finite")
+            raise NonFiniteSolution(f"iterate {k} is not finite")
         errors.append(err)
         if err <= tol:
             iterations = k

@@ -135,7 +135,7 @@ def test_criterion_04_version3_three_point_equioscillation():
 def test_criterion_05_oracle_certification():
     start = time.monotonic()
     n = 512
-    for ratio in (10.0, 100.0, 1000.0, 10000.0):
+    for ratio in (10.0, 100.0, 1000.0, 10000.0, 1e6, 1e8):
         pair = DiffusionPair(1.0, 1.0 / ratio)
         mu = pair.normalized().mu
         for version in ("I", "II", "III"):
@@ -143,7 +143,7 @@ def test_criterion_05_oracle_certification():
             oracle_params, oracle_val = brute_force_minmax(
                 REF_BAND, pair, version, n, 128
             )
-            assert analytic.rho_star <= oracle_val + 1e-3
+            assert analytic.rho_star <= oracle_val * (1.0 + 1e-9)
             if version == "I":
                 lo, hi = restriction_interval_v1(REF_BAND, mu)
                 grid = np.geomspace(lo, hi, n)

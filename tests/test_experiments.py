@@ -920,6 +920,30 @@ def test_subnormal_second_coefficient_runs_clean(tmp_path, command, csv):
                 assert math.isfinite(float(value)), name
 
 
+# numpy reports the overflow as it happens; the run must still end typed.
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [
+        ("--u0", "1e308", "iterate 1 is not finite"),
+        ("--g-left", "1e307", "iterate 1 is not finite"),
+        ("--u0", "1.7e308", "solution is not finite"),
+    ],
+)
+def test_data_that_overflow_the_arithmetic_are_a_runtime_error(
+    tmp_path, capsys, flag, value, message
+):
+    # The values are finite, so the configuration is valid, but the Robin
+    # data sigma * u + flux they give overflow (1.7e308 overflows the
+    # monolithic solve itself); each ended in a ValueError traceback.
+    out = tmp_path / "out"
+    argv = ["ratio-sweep", f"{flag}={value}", "--ratios", "10", "--versions", "I"]
+    assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"runtime error: {message}\n"
+    assert not out.exists()
+
+
 def test_version_iii_converges_at_a_jump_of_1e200(tmp_path):
     # The bisection's residual, of order mu**-4, underflowed to 0 at the
     # bracket ends beyond a ratio of about 1.5e154, and the left end came out.

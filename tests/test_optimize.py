@@ -2,6 +2,7 @@
 
 import decimal
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from oswr.frequency import (
     DiffusionPair,
     FrequencyBand,
     TransmissionParams,
+    _stationary_frequencies,
     frequency_band_from_grid,
     interior_critical_frequencies,
     max_rho_over_band,
@@ -520,6 +522,71 @@ def test_optimize_v3_certifies_at_every_jump_a_double_can_hold(ratio):
     res = optimize_v3(REF_BAND, diff)
     _, oracle_val = brute_force_minmax(REF_BAND, diff, "III", 512, 128)
     assert res.rho_star <= oracle_val * (1.0 + 1e-9)
+
+
+@pytest.mark.parametrize(
+    "diff",
+    [DiffusionPair(1.0, 1.0 / r) for r in (1e160, 1e200, 1e300)]
+    + [DiffusionPair(sys.float_info.max, 1.0)],
+    ids=["1e160", "1e200", "1e300", "max"],
+)
+def test_optimize_v1_certifies_at_every_jump_a_double_can_hold(diff):
+    # From a ratio of about 1e154 mu**4 in the split roots and b*b in the
+    # quartic overflowed: the quartic roots came out as 0 and inf, and the
+    # oracle's parameter grid started at 0.  At the largest ratio the
+    # oracle's third stationary frequency v * outer overflowed too.
+    res = optimize_v1(REF_BAND, diff)
+    assert res.uniqueness == "two_minimizers"
+    _, oracle_val = brute_force_minmax(REF_BAND, diff, "I", 512, 128)
+    assert res.rho_star <= oracle_val * (1.0 + 1e-9)
+
+
+def _direct_quartic_roots(band, mu):
+    """The quartic roots as computed before mu was scaled: b*b overflows for mu near 1e77."""
+    wt1, wt2 = band.wt1, band.wt2
+    b = (mu * wt2 - wt1) * (wt2 - mu * wt1)
+    c = 2.0 * mu * mu * wt1 * wt1 * wt2 * wt2
+    disc = b * b - 2.0 * c
+    if disc < 0.0:
+        return []
+    root = math.sqrt(disc)
+    y_hi = -b + root
+    if y_hi <= 0.0:
+        return []
+    if disc == 0.0:
+        return [math.sqrt(y_hi)]
+    return [math.sqrt(2.0 * c / y_hi), math.sqrt(y_hi)]
+
+
+@pytest.mark.parametrize("band", [REF_BAND, FrequencyBand(1.0, 2.0), FrequencyBand(0.3, 0.31)])
+def test_version_i_closed_forms_are_the_same_doubles_where_they_stay_finite(band):
+    # The closed forms scale mu by a power of two; wherever the direct
+    # formulas stay finite that scaling is exact, so nothing moves.  Squares
+    # are products: libm's pow(x, 2) is not always correctly rounded (at
+    # mu = 1.352843002968459e46 it is 0.500005 ulp off), so it does not
+    # commute with the scaling.  At the other mu below pow(x, 2) on the
+    # scaled x = (mu - 1) * 2**-k would move outer (first two) or h2.
+    misrounded = [
+        1.352843002968459e46,
+        1.0030240122242335e28,
+        19106168443341.105,
+        1526689.3205752487,
+        242903849749098.94,
+    ]
+    for mu in [*np.geomspace(MU_SPLIT * (1.0 + 1e-12), 1e76, 400), 5.0, 10.0, 1e3, *misrounded]:
+        mu = float(mu)
+        delta = math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 1.0))
+        h1 = (
+            mu * mu + 1.0 + math.sqrt((mu * mu - 4.0 * mu + 1.0) * (mu * mu + 4.0 * mu + 1.0))
+        ) / (4.0 * mu)
+        h2 = ((mu - 1.0) * (mu - 1.0) + delta) / (2.0 * mu)
+        outer = math.sqrt((mu - 1.0) * (mu - 1.0) + delta)
+        case = version_i_case_data(band, mu)
+        assert (case.delta, case.h1, case.h2) == (delta, h1, h2)
+        assert restriction_interval_v1(band, mu) == (band.wt1 * 2.0 * mu / outer, band.wt2 * outer)
+        assert quartic_positive_roots(band, mu) == _direct_quartic_roots(band, mu)
+        crits = _stationary_frequencies("I", np.geomspace(1e-3, 1e3, 64), mu)
+        assert np.array_equal(crits[2], np.geomspace(1e-3, 1e3, 64) * outer / (2.0 * mu))
 
 
 def test_restriction_interval_v3_keeps_its_lower_end_at_huge_jumps():

@@ -1,11 +1,13 @@
-"""The factored grid oracle against the per-candidate scan it replaced.
+"""The pruned, factored grid oracle against the per-candidate scan it replaced.
 
-``brute_force_minmax`` evaluates Versions I and II for all candidates in
-one array and Version III from per-parameter factors of rho**2.  Every
-element is the same floating-point expression as the direct form, so the
-result must equal, bit for bit, the scan below: one ``max_rho_over_band``
-per candidate for Versions I and II, one ``_rho_sq`` row block per p for
-Version III.  The scan is kept here as the reference.
+``brute_force_minmax`` takes the full band maximum only for candidates
+that a three-frequency lower bound cannot rule out, and evaluates
+Version III from per-parameter factors of rho**2.  Every element is the
+same floating-point expression as the direct form, and a pruned candidate
+is strictly above the minimum, so the result must equal, bit for bit, the
+scan below: one ``max_rho_over_band`` per candidate for Versions I and
+II, one ``_rho_sq`` row block per p for Version III.  The scan is kept
+here as the reference.
 """
 
 import math
@@ -103,4 +105,24 @@ def test_oracle_equals_per_candidate_scan_at_certify_size(version):
     # Ratio 1e8 on the 512 x 128 grid is where the oracle beats the analytic
     # Version III optimum; the figure that shows the defect must not move.
     args = (REF_BAND, DiffusionPair(1.0, 1e-8), version, 512, 128)
+    assert brute_force_minmax(*args) == _reference_minmax(*args)
+
+
+@pytest.mark.parametrize("version", ["I", "II", "III"])
+def test_oracle_equals_per_candidate_scan_at_certify_size_swapped(version):
+    # nu1 < nu2: the oracle searches the normalized pair and swaps p and q back.
+    args = (REF_BAND, DiffusionPair(1e-8, 1.0), version, 512, 128)
+    assert brute_force_minmax(*args) == _reference_minmax(*args)
+
+
+@pytest.mark.parametrize("version", ["I", "II", "III"])
+def test_oracle_equals_per_candidate_scan_at_a_jump_of_1e300(version):
+    args = (REF_BAND, DiffusionPair(1.0, 1e-300), version, 512, 128)
+    assert brute_force_minmax(*args) == _reference_minmax(*args)
+
+
+@pytest.mark.parametrize("version", ["I", "II", "III"])
+def test_oracle_equals_per_candidate_scan_on_a_degenerate_band_at_certify_size(version):
+    # One frequency: the three bound samples coincide, and the bound is the value.
+    args = (BANDS["degenerate"], PAIRS["nu1>nu2"], version, 512, 128)
     assert brute_force_minmax(*args) == _reference_minmax(*args)
