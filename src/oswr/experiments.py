@@ -81,6 +81,11 @@ SCENARIOS = _SWEEPS + ("rho_curves", "v3_root_scan", "tps_three_layer", "custom"
 # equation, of order mu**-4, are not normal doubles: the scan can't resolve them.
 _V3_MU_MAX = sys.float_info.min ** -0.25
 
+# rho**2 is a product of two factors of order wt**2 over two more: with the
+# band inside [1/_WT_MAX, _WT_MAX] both products stay normal doubles, with
+# room (2**22) for the factors' constants.
+_WT_MAX = 2.0 ** 250
+
 # A key's own rule, named by the words its error message uses.
 _RULES = {
     "positive": lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
@@ -259,10 +264,7 @@ class ExperimentConfig:
                 if not _RULES["positive"](nu2):
                     raise ConfigError(f"nu1/ratio must be positive and finite, got {nu2!r}")
         if self.scenario in ("rho_curves", "v3_root_scan"):
-            try:
-                frequency_band_from_grid(self.T, self.dt)
-            except ValueError as exc:
-                raise ConfigError(str(exc)) from None
+            _check_band(self.T, self.dt)
         if self.scenario == "v3_root_scan" and not 1.0 / _V3_MU_MAX <= self.mu <= _V3_MU_MAX:
             raise ConfigError(
                 f"mu must lie within [{1.0 / _V3_MU_MAX:.3g}, {_V3_MU_MAX:.3g}], got {self.mu!r}"
@@ -354,11 +356,28 @@ def _out_path(cfg: ExperimentConfig, name: str) -> str:
     return os.path.join(cfg.out_dir, name)
 
 
+def _check_band(T: float, dt: float) -> None:
+    """ConfigError unless the band of (T, dt) exists and lies inside [1/_WT_MAX, _WT_MAX]."""
+    try:
+        band = frequency_band_from_grid(T, dt)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    if not 1.0 / _WT_MAX <= band.wt1 <= band.wt2 <= _WT_MAX:
+        raise ConfigError(
+            f"T={T!r} and dt={dt!r} give the frequency band [{band.wt1:.3g}, {band.wt2:.3g}], "
+            f"outside [{1.0 / _WT_MAX:.3g}, {_WT_MAX:.3g}] where rho stays finite"
+        )
+
+
 def _fit_grid(cfg: ExperimentConfig, dx: float, dt: float) -> tuple[Mesh1D, Decomposition]:
-    """Mesh and split of a grid; ConfigError unless it fits T, (0, 1) and the interfaces."""
+    """Mesh and split of a grid; ConfigError unless it fits T, (0, 1) and the interfaces.
+
+    The grid's frequency band must also keep rho finite (``_check_band``).
+    """
     n_steps = round(cfg.T / dt)
     if n_steps < 1 or abs(n_steps * dt - cfg.T) > 1e-9 * cfg.T:
         raise ConfigError(f"dt={dt} does not divide T={cfg.T}")
+    _check_band(cfg.T, dt)
     n_elements = round(1.0 / dx)
     if n_elements < 2 or abs(n_elements * dx - 1.0) > 1e-9:
         raise ConfigError(f"dx={dx} does not divide the unit domain")

@@ -105,8 +105,14 @@ class DiffusionPair:
 
     @property
     def mu(self) -> float:
-        """sqrt(nu1/nu2); mu**2 is the coefficient jump across the interface."""
-        return math.sqrt(self.nu1 / self.nu2)
+        """sqrt(nu1/nu2); mu**2 is the coefficient jump across the interface.
+
+        Where nu1/nu2 overflows (a subnormal nu2), the roots are taken first.
+        """
+        jump = self.nu1 / self.nu2
+        if math.isinf(jump):
+            return math.sqrt(self.nu1) / math.sqrt(self.nu2)
+        return math.sqrt(jump)
 
     def normalized(self) -> "DiffusionPair":
         """The same pair oriented so that mu >= 1 (swap if nu1 < nu2)."""
@@ -212,7 +218,7 @@ def rho(wt, params: TransmissionParams, diff: DiffusionPair):
 
 
 def _version_i_split_roots(mu: float) -> tuple[float, float]:
-    """delta and outer = sqrt((mu - 1)^2 + delta) of Version I, for mu > MU_SPLIT.
+    """delta * 4**-k and outer = sqrt((mu - 1)^2 + delta) of Version I, mu > MU_SPLIT.
 
     delta = sqrt((mu^2 - 4 mu + 1)(mu^2 + 1)) is real beyond the split.
     Since (mu - 1)^4 - delta^2 = 4 mu^2, the companion root
@@ -220,12 +226,13 @@ def _version_i_split_roots(mu: float) -> tuple[float, float]:
     cancels, and comes out negative for some mu beyond about 2e8.  The
     product under the root is of order mu**4, which overflows from mu of
     about 1e77 on, so both are evaluated with (mu, 1) scaled by 2**-k (see
-    ``_version_i_scaling``) and scaled back.
+    ``_version_i_scaling``); outer is scaled back, delta, of order mu**2,
+    is not.
     """
     k, m, t = _version_i_scaling(mu)
     delta = math.sqrt((m * m - 4.0 * m * t + t * t) * (m * m + t * t))
     outer = math.sqrt((m - t) * (m - t) + delta)
-    return math.ldexp(delta, 2 * k), math.ldexp(outer, k)
+    return delta, math.ldexp(outer, k)
 
 
 def _version_i_scaling(mu: float) -> tuple[int, float, float]:
@@ -243,21 +250,24 @@ def _version_i_scaling(mu: float) -> tuple[int, float, float]:
     return k, math.ldexp(mu, -k), math.ldexp(1.0, -k)
 
 
-def _stationary_frequencies(version: str, v, mu: float) -> list:
-    """Stationary frequencies of rho for Version I (v = p) or II (v = q).
+def _stationary_frequencies(version: str, p, q, mu: float) -> list:
+    """Stationary frequencies of rho for generators (p, q) of a standard scaling.
 
-    mu is the normalized jump.  Broadcasts over array v: each entry of the
-    returned list is one stationary point per generator value, unsorted.
+    mu is the normalized jump.  Version I reads p, Version II q, Version
+    III both.  Broadcasts over array p and q: each entry of the returned
+    list is one stationary point per generator value, unsorted.
     """
     if version == "II":
-        return [v / math.sqrt(2.0)]
-    points = [v / math.sqrt(2.0 * mu)]
+        return [q / math.sqrt(2.0)]
+    if version == "III":
+        return [np.sqrt(p * q / 2.0)]
+    points = [p / math.sqrt(2.0 * mu)]
     if mu > MU_SPLIT:
         _, outer = _version_i_split_roots(mu)
-        points.append(v / outer)
-        # v * outer / (2 * mu), with outer and mu scaled so v * outer stays finite.
+        points.append(p / outer)
+        # p * outer / (2 * mu), with outer and mu scaled so p * outer stays finite.
         k, m, _ = _version_i_scaling(mu)
-        points.append(v * math.ldexp(outer, -k) / (2.0 * m))
+        points.append(p * math.ldexp(outer, -k) / (2.0 * m))
     return points
 
 
@@ -271,14 +281,10 @@ def interior_critical_frequencies(
     vanishes.  Version II has q/sqrt(2), Version III sqrt(p*q/2).  For
     custom coefficients no closed form is available and the list is empty.
     """
+    if params.version == "custom":
+        return []
     mu = diff.normalized().mu
-    if params.version == "I":
-        return sorted(_stationary_frequencies("I", params.p, mu))
-    if params.version == "II":
-        return _stationary_frequencies("II", params.q, mu)
-    if params.version == "III":
-        return [math.sqrt(params.p * params.q / 2.0)]
-    return []
+    return sorted(float(w) for w in _stationary_frequencies(params.version, params.p, params.q, mu))
 
 
 def max_rho_over_band(

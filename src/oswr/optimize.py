@@ -138,16 +138,17 @@ def version_i_case_data(band: FrequencyBand, mu: float) -> VersionICaseData:
         return VersionICaseData(
             mu, k_r, "small_mu", None, None, None, None, center, None, r_c, r_ext
         )
-    delta, _ = _version_i_split_roots(mu)
     # h1 and h2 are of degree one in (mu, 1); see _version_i_scaling.
     k, m, t = _version_i_scaling(mu)
+    delta, _ = _version_i_split_roots(mu)
     h1 = (
         m * m
         + t * t
         + math.sqrt((m * m - 4.0 * m * t + t * t) * (m * m + 4.0 * m * t + t * t))
     ) / (4.0 * m)
-    h2 = ((m - t) * (m - t) + math.ldexp(delta, -2 * k)) / (2.0 * m)
+    h2 = ((m - t) * (m - t) + delta) / (2.0 * m)
     h1, h2 = math.ldexp(h1, k), math.ldexp(h2, k)
+    delta = math.ldexp(delta, k) * math.ldexp(1.0, k)  # inf once mu**2 overflows
     if h2 < h1 * (1.0 - 1e-12):
         raise CaseDataError(f"h2={h2} < h1={h1} for mu={mu}")
     lo, hi = restriction_interval_v1(band, mu)
@@ -290,12 +291,14 @@ def restriction_intervals_v3(
     """Ranges that must contain the Version III minimizers (p first, q second).
 
     Assumes the normalized orientation mu >= 1, for which p <= q at the
-    optimum.
+    optimum.  sqrt(mu**2 + 1) is taken with (mu, 1) scaled as in
+    ``_version_i_scaling``, since mu**2 overflows for the largest jumps.
     """
     if not (mu >= 1.0):
         raise ValueError(f"mu must be >= 1, got {mu}")
     wt1, wt2 = band.wt1, band.wt2
-    root = math.sqrt(mu * mu + 1.0)
+    k, m, t = _version_i_scaling(mu)
+    root = math.ldexp(math.sqrt(m * m + t * t), k)
     p_scale = 1.0 + 1.0 / (root + mu)  # root - (mu - 1), which cancels for large mu
     q_scale = (root + (mu - 1.0)) / mu
     return ((wt1 * p_scale, wt2 * p_scale), (wt1 * q_scale, wt2 * q_scale))
@@ -531,14 +534,20 @@ def brute_force_minmax(
 ) -> tuple[TransmissionParams, float]:
     """Grid oracle for the min-max problem of one of the standard scalings.
 
-    Scans the restricted parameter range (a 2D product of ranges for
-    Version III, filtered to p <= q in the normalized orientation) and
-    minimizes the band maximum of rho.  Serves as an independent check of
-    the analytic optimizers; the analytic min-max value can never exceed
-    the value at any grid point.
+    Scans the restricted parameter range and minimizes the band maximum of
+    rho.  Serves as an independent check of the analytic optimizers; the
+    analytic min-max value can never exceed the value at any grid point.
+
+    A candidate is an index pair (i, k) into a p grid and a q grid, in the
+    normalized orientation, with sigma1 = sqrt(nu2) * p and sigma2 =
+    sqrt(nu1) * q (sqrt(nu2) * q for Version I).  Versions I and II give
+    both grids one range and search the diagonal p = q; Version III
+    searches q >= p over the product of its two ranges,
+    ``_ORACLE_BLOCK_ROWS`` p rows at a time.  The result is built from the
+    winning pair, swapped back when the input pair had nu1 < nu2.
 
     The band maximum of a candidate is taken over the geometric frequency
-    grid plus its interior stationary frequencies inside the band, as
+    grid plus its interior stationary frequencies, clipped to the band, as
     ``max_rho_over_band`` does.  Only candidates that can win get it:
 
     1. A lower bound on every candidate's maximum of rho**2 is the maximum
@@ -547,6 +556,7 @@ def brute_force_minmax(
        near it the bound is tight.
     2. The threshold U is the band maximum of the candidate with the
        smallest bound: a real candidate's value, so at least the minimum.
+       The best value of earlier row blocks caps it.
     3. A candidate with sqrt(bound) > U is strictly above the minimum and
        is dropped; the band maximum is taken for the rest (on the certify
        cases one for Versions II and III), and the first row-major argmin
@@ -555,79 +565,59 @@ def brute_force_minmax(
     Each element is the same floating-point expression as the direct
     ``_rho_sq`` form, and ties are broken after the square root, as in
     the direct scan, so the result is bit for bit the one of the direct
-    per-candidate scan.  For Version III, rho**2 = (N1*N2)/(D1*D2), where
-    N1, D1 depend only on (p, wt) and N2, D2 only on (q, wt): the four
-    factors are computed once on parameter grid x frequency grid, and the
-    bounds in blocks of ``_ORACLE_BLOCK_ROWS`` p rows, with the best value
-    so far capping the threshold.  Memory stays O(param_grid_size *
-    freq_grid_size): neither the parameter x parameter bound array nor the
-    parameter x parameter x frequency cube is built.
+    per-candidate scan.  rho**2 = (N1*N2)/(D1*D2) with N1, D1 depending
+    only on (p, wt) and N2, D2 only on (q, wt), so the bounds come from
+    each side's factors at the three frequencies.  Memory stays
+    O(_ORACLE_BLOCK_ROWS * param_grid_size): no parameter x frequency
+    table and no parameter x parameter array is built.
     """
     if param_grid_size < 16 or freq_grid_size < 16:
         raise ValueError("grid sizes must be >= 16")
     norm = diff.normalized()
-    swapped = norm is not diff
     mu = norm.mu
-    freqs = band.geometric_grid(freq_grid_size)
-    samples = [0, freqs.size // 2, freqs.size - 1]
-
-    if version in ("I", "II"):
-        if version == "I":
-            grid = _grid(*restriction_interval_v1(band, mu), param_grid_size)
-            sigma1 = sigma2 = math.sqrt(norm.nu2) * grid
-            make = TransmissionParams.version1
-        else:
-            grid = _grid(math.sqrt(2.0) * band.wt1, math.sqrt(2.0) * band.wt2, param_grid_size)
-            sigma1 = math.sqrt(diff.nu2) * grid
-            sigma2 = math.sqrt(diff.nu1) * grid
-            make = TransmissionParams.version2
-        crits = np.column_stack(_stationary_frequencies(version, grid, mu))
-        crits[~((band.wt1 < crits) & (crits < band.wt2))] = band.wt1
-
-        def band_max(j):
-            wts = np.concatenate([np.broadcast_to(freqs, (j.size, freqs.size)), crits[j]], axis=1)
-            vals = _rho_sq(wts, sigma1[j, None], sigma2[j, None], diff.nu1, diff.nu2)
-            return np.sqrt(vals.max(axis=1))
-
-        bound = _rho_sq(freqs[samples], sigma1[:, None], sigma2[:, None], diff.nu1, diff.nu2)
-        j, val = _pruned_first_argmin(bound.max(axis=1), band_max)
-        return make(float(grid[j]), diff), val
-
-    if version != "III":
+    if version == "I":
+        ranges = [restriction_interval_v1(band, mu)] * 2
+    elif version == "II":
+        ranges = [(math.sqrt(2.0) * band.wt1, math.sqrt(2.0) * band.wt2)] * 2
+    elif version == "III":
+        ranges = restriction_intervals_v3(band, mu)
+    else:
         raise ValueError(f"unknown version {version!r}")
-
-    (p_lo, p_hi), (q_lo, q_hi) = restriction_intervals_v3(band, mu)
-    p_grid = _grid(p_lo, p_hi, param_grid_size)
-    q_grid = _grid(q_lo, q_hi, param_grid_size)
+    p_grid, q_grid = (_grid(lo, hi, param_grid_size) for lo, hi in ranges)
     sigma1 = math.sqrt(norm.nu2) * p_grid
-    sigma2 = math.sqrt(norm.nu1) * q_grid
-    num1, den1 = _rho_sq_factor(freqs, sigma1[:, None], norm.nu1, norm.nu2)
-    num2, den2 = _rho_sq_factor(freqs, sigma2[:, None], norm.nu2, norm.nu1)
-    n_q = q_grid.size
+    sigma2 = math.sqrt(norm.nu2 if version == "I" else norm.nu1) * q_grid
+    freqs = band.geometric_grid(freq_grid_size)
+    samples = freqs[[0, freqs.size // 2, -1]]
+    num1, den1 = _rho_sq_factor(samples, sigma1[:, None], norm.nu1, norm.nu2)
+    num2, den2 = _rho_sq_factor(samples, sigma2[:, None], norm.nu2, norm.nu1)
 
-    def band_max(flat):
-        i, k = np.divmod(flat, n_q)  # candidate (p_grid[i], q_grid[k])
-        vals = (num1[i] * num2[k]) / (den1[i] * den2[k])
-        # Interior stationary frequency sqrt(p*q/2), clipped to the band.
-        w_c = np.clip(np.sqrt(p_grid[i] * q_grid[k] / 2.0), band.wt1, band.wt2)
-        interior = _rho_sq(w_c, sigma1[i], sigma2[k], norm.nu1, norm.nu2)
-        return np.sqrt(np.maximum(vals.max(axis=1), interior))
+    def band_max(i, k):
+        crits = np.column_stack(_stationary_frequencies(version, p_grid[i], q_grid[k], mu))
+        grid = np.broadcast_to(freqs, (i.size, freqs.size))
+        wts = np.concatenate([grid, np.clip(crits, band.wt1, band.wt2)], axis=1)
+        vals = _rho_sq(wts, sigma1[i, None], sigma2[k, None], norm.nu1, norm.nu2)
+        return np.sqrt(vals.max(axis=1))
 
-    best_val, best_flat = math.inf, 0
-    for start in range(0, p_grid.size, _ORACLE_BLOCK_ROWS):
-        rows = slice(start, start + _ORACLE_BLOCK_ROWS)
+    rows = np.arange(p_grid.size)
+    if version == "III":
+        steps = range(0, rows.size, _ORACLE_BLOCK_ROWS)
+        blocks = [(rows[s : s + _ORACLE_BLOCK_ROWS, None], np.arange(q_grid.size)) for s in steps]
+    else:
+        blocks = [(rows, rows)]
+    best_val, best = math.inf, (0, 0)
+    for i, k in blocks:
         # rho**2 >= 0, so a zero start leaves the maximum over the samples.
-        bound = np.zeros((p_grid[rows].size, n_q))
-        for c in samples:
-            ratio = (num1[rows, c, None] * num2[:, c]) / (den1[rows, c, None] * den2[:, c])
-            np.maximum(bound, ratio, out=bound)
-        bound[q_grid < p_grid[rows, None]] = np.inf  # only q >= p is searched
-        offset = start * n_q
-        found = _pruned_first_argmin(bound, lambda flat: band_max(flat + offset), best_val)
+        bound = np.zeros(np.broadcast_shapes(i.shape, k.shape))
+        for c in range(samples.size):
+            np.maximum(bound, (num1[i, c] * num2[k, c]) / (den1[i, c] * den2[k, c]), out=bound)
+        bound[q_grid[k] < p_grid[i]] = np.inf  # only q >= p is searched
+        i, k = np.broadcast_arrays(i, k)  # the candidate of each bound entry
+        found = _pruned_first_argmin(bound, lambda j: band_max(i.flat[j], k.flat[j]), best_val)
         if found is not None and found[1] < best_val:
-            best_flat, best_val = found[0] + offset, found[1]
-    i, k = divmod(best_flat, n_q)
-    p_best, q_best = float(p_grid[i]), float(q_grid[k])
-    if swapped:
-        p_best, q_best = q_best, p_best
-    return TransmissionParams.version3(p_best, q_best, diff), best_val
+            best_val, best = found[1], (i.flat[found[0]], k.flat[found[0]])
+    i, k = best
+    sides = [(float(sigma1[i]), float(p_grid[i])), (float(sigma2[k]), float(q_grid[k]))]
+    if norm is not diff:
+        sides.reverse()
+    (s1, p), (s2, q) = sides
+    return TransmissionParams(s1, s2, p, q, version), best_val

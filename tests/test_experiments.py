@@ -4,6 +4,7 @@ import argparse
 import importlib.util
 import math
 import os
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -806,6 +807,68 @@ def test_collapsed_band_is_a_config_error(tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+_RHO_FINITE = "outside [5.53e-76, 1.81e+75] where rho stays finite\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["ratio-sweep", "--T", "1e-300", "--dt", "1e-301", "--ratios", "10"],
+            "T=1e-300 and dt=1e-301 give the frequency band [8.86e+149, 3.96e+150], ",
+        ),
+        (
+            ["ratio-sweep", "--T", "1e300", "--dt", "1e299", "--ratios", "10"],
+            "T=1e+300 and dt=1e+299 give the frequency band [8.86e-151, 3.96e-150], ",
+        ),
+        (
+            ["rho-curves", "--T", "1e300", "--dt", "1e-300"],
+            "T=1e+300 and dt=1e-300 give the frequency band [8.86e-151, 1.25e+150], ",
+        ),
+        (
+            ["v3-root-scan", "--T", "1e300", "--dt", "1e-300"],
+            "T=1e+300 and dt=1e-300 give the frequency band [8.86e-151, 1.25e+150], ",
+        ),
+        # Just outside each edge of the bound 2**250.
+        (
+            ["rho-curves", "--T", "3e150", "--dt", "1e-150"],
+            "T=3e+150 and dt=1e-150 give the frequency band [5.12e-76, 1.25e+75], ",
+        ),
+        (
+            ["rho-curves", "--T", "2e150", "--dt", "4e-151"],
+            "T=2e+150 and dt=4e-151 give the frequency band [6.27e-76, 1.98e+75], ",
+        ),
+    ],
+    ids=["tiny", "huge", "wide", "v3-wide", "below-lower-edge", "above-upper-edge"],
+)
+def test_band_where_rho_is_not_finite_is_a_config_error(tmp_path, capsys, argv, message):
+    # rho**2 = (N1*N2)/(D1*D2) with factors of order wt**2: beyond the bound
+    # the products over- or underflow, and the runs wrote nan or ended in an
+    # OverflowError traceback.
+    assert main([*argv, "--out-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "config error: " + message + _RHO_FINITE
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, csv",
+    [
+        (["rho-curves", "--T", "2e150", "--dt", "1e-150"], "rho_curves.csv"),
+        (["ratio-sweep", "--T", "1e-149", "--dt", "1e-150"], "ratio_sweep.csv"),
+        (["ratio-sweep", "--T", "1e150", "--dt", "1e149"], "ratio_sweep.csv"),
+    ],
+    ids=["wide", "top", "bottom"],
+)
+def test_band_just_inside_where_rho_is_finite_runs_clean(tmp_path, argv, csv):
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    for row in _rows_as_dicts(str(out / csv)):
+        assert row.get("error", "") == ""
+        for name, value in row.items():
+            if name not in ("version", "error", "iterations"):
+                assert math.isfinite(float(value)), name
+
+
 @pytest.mark.parametrize("mu", [1e38, 1e40, 1e50, 1e76])
 def test_v3_bisection_finds_the_scan_root_at_huge_jumps(tmp_path, mu):
     # The residual scales like mu**-4: a product of two residuals underflows
@@ -954,3 +1017,25 @@ def test_version_iii_converges_at_a_jump_of_1e200(tmp_path):
     assert row["error"] == ""
     assert float(row["p"]) == pytest.approx(0.555420969392117, rel=1e-12)
     assert int(row["iterations"]) == 6
+
+
+@pytest.mark.parametrize("version", ["I", "II", "III"])
+def test_the_largest_double_ratio_runs(tmp_path, version):
+    # nu1/ratio is the subnormal 5.56e-309: nu1/nu2 overflows, although
+    # mu = sqrt(nu1/nu2) is 1.34e154.  Version I ended in a CaseDataError
+    # traceback (mu=inf).
+    out = tmp_path / "out"
+    argv = ["ratio-sweep", "--ratios", repr(sys.float_info.max), "--versions", version]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    (row,) = _rows_as_dicts(str(out / "ratio_sweep.csv"))
+    assert math.isfinite(float(row["rho_star_analytic"]))
+
+
+@pytest.mark.xfail(strict=True, reason="Version I stalls at large jumps (README, known defects)")
+def test_version_i_converges_at_a_jump_of_1e12(tmp_path):
+    # rho* is 0.733, yet after 1000 iterations the error is 15.70 of u0 = 20.
+    out = tmp_path / "out"
+    argv = ["ratio-sweep", "--ratios", "1e12", "--versions", "I", "--out-dir", str(out)]
+    assert main(argv) == 0
+    (row,) = _rows_as_dicts(str(out / "ratio_sweep.csv"))
+    assert row["error"] == ""

@@ -527,8 +527,8 @@ def test_optimize_v3_certifies_at_every_jump_a_double_can_hold(ratio):
 @pytest.mark.parametrize(
     "diff",
     [DiffusionPair(1.0, 1.0 / r) for r in (1e160, 1e200, 1e300)]
-    + [DiffusionPair(sys.float_info.max, 1.0)],
-    ids=["1e160", "1e200", "1e300", "max"],
+    + [DiffusionPair(sys.float_info.max, 1.0), DiffusionPair(1.0, 1.0 / sys.float_info.max)],
+    ids=["1e160", "1e200", "1e300", "max", "max-subnormal"],
 )
 def test_optimize_v1_certifies_at_every_jump_a_double_can_hold(diff):
     # From a ratio of about 1e154 mu**4 in the split roots and b*b in the
@@ -585,7 +585,7 @@ def test_version_i_closed_forms_are_the_same_doubles_where_they_stay_finite(band
         assert (case.delta, case.h1, case.h2) == (delta, h1, h2)
         assert restriction_interval_v1(band, mu) == (band.wt1 * 2.0 * mu / outer, band.wt2 * outer)
         assert quartic_positive_roots(band, mu) == _direct_quartic_roots(band, mu)
-        crits = _stationary_frequencies("I", np.geomspace(1e-3, 1e3, 64), mu)
+        crits = _stationary_frequencies("I", np.geomspace(1e-3, 1e3, 64), None, mu)
         assert np.array_equal(crits[2], np.geomspace(1e-3, 1e3, 64) * outer / (2.0 * mu))
 
 

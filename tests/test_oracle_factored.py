@@ -1,16 +1,19 @@
-"""The pruned, factored grid oracle against the per-candidate scan it replaced.
+"""The pruned grid oracle against the per-candidate scan it replaced.
 
-``brute_force_minmax`` takes the full band maximum only for candidates
-that a three-frequency lower bound cannot rule out, and evaluates
-Version III from per-parameter factors of rho**2.  Every element is the
-same floating-point expression as the direct form, and a pruned candidate
-is strictly above the minimum, so the result must equal, bit for bit, the
-scan below: one ``max_rho_over_band`` per candidate for Versions I and
-II, one ``_rho_sq`` row block per p for Version III.  The scan is kept
-here as the reference.
+``brute_force_minmax`` bounds every candidate's band maximum by the
+per-side factors of rho**2 at three frequencies, and takes the full band
+maximum only for candidates that the bound cannot rule out, on one path
+for all three versions.  Every element is the same floating-point
+expression as the direct form, and a pruned candidate is strictly above
+the minimum, so the result must equal, bit for bit, the scan below: one
+``max_rho_over_band`` per candidate for Versions I and II, one
+``_rho_sq`` row block per p for Version III.  The scan is kept here as
+the reference.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -115,10 +118,27 @@ def test_oracle_equals_per_candidate_scan_at_certify_size_swapped(version):
     assert brute_force_minmax(*args) == _reference_minmax(*args)
 
 
+@pytest.mark.parametrize(
+    "diff",
+    # The second pair's nu1/nu2 overflows; its mu is 1.34e154.
+    [DiffusionPair(1.0, 1e-300), DiffusionPair(1.0, 1.0 / sys.float_info.max)],
+    ids=["1e300", "max-subnormal"],
+)
 @pytest.mark.parametrize("version", ["I", "II", "III"])
-def test_oracle_equals_per_candidate_scan_at_a_jump_of_1e300(version):
-    args = (REF_BAND, DiffusionPair(1.0, 1e-300), version, 512, 128)
+def test_oracle_equals_per_candidate_scan_at_huge_jumps(version, diff):
+    args = (REF_BAND, diff, version, 512, 128)
     assert brute_force_minmax(*args) == _reference_minmax(*args)
+
+
+def test_oracle_peak_memory_at_certify_size():
+    # Each 512 x 128 parameter x frequency table is 0.5 MiB: the oracle builds none.
+    tracemalloc.start()
+    try:
+        brute_force_minmax(REF_BAND, DiffusionPair(1.0, 1e-8), "III", 512, 128)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
 
 
 @pytest.mark.parametrize("version", ["I", "II", "III"])
