@@ -5,10 +5,18 @@ a comment, lists are comma-separated).  Unknown keys are rejected with the
 line number; validation errors name the offending key.  Every runner writes
 deterministic CSV artifacts (header row, comma-separated, 17 significant
 digits for reals, LF endings, UTF-8, no timestamps) into ``out_dir``.
+
+Runners hand their rows, built straight from arrays, to one writer:
+``_write_csv`` formats every cell with ``_fmt`` and passes the lines to
+``_write_text``, which also writes the plot scripts and is the only code that
+reads ``out_dir``.  Every artifact has its own name, so a scenario never
+writes a file twice: versions may not repeat, and the ratios and grid values
+of a sweep may not share the ``{:g}`` text of their history file names.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import sys
@@ -143,7 +151,7 @@ class ConfigKey(NamedTuple):
         if value is None:  # out_dir unset, or ratios left to the scenario
             return
         if self.kind == "strs":
-            if not value or not set(value) <= set(self.choices):
+            if not value or len(set(value)) < len(value) or not set(value) <= set(self.choices):
                 raise ConfigError(
                     f"{self.name} must be a nonempty subset of {','.join(self.choices)}, "
                     f"got {value!r}"
@@ -263,6 +271,18 @@ class ExperimentConfig:
             for nu2 in [self.nu1 / ratio for ratio in self.effective_ratios()]:
                 if not _RULES["positive"](nu2):
                     raise ConfigError(f"nu1/ratio must be positive and finite, got {nu2!r}")
+        if self.scenario in ("dt_sweep", "dx_sweep"):
+            kind = self.scenario[:2]
+            for key, tag in (("ratios", "ratio"), (kind + "s", kind)):
+                values = self.effective_ratios() if tag == "ratio" else getattr(self, key)
+                names = [f"{tag}{v:g}" for v in values]  # as history file names spell them
+                for i, name in enumerate(names):
+                    first = names.index(name)
+                    if first < i:
+                        raise ConfigError(
+                            f"{key} {values[first]!r} and {values[i]!r} give the same "
+                            f"history file name {name}"
+                        )
         if self.scenario in ("rho_curves", "v3_root_scan"):
             _check_band(self.T, self.dt)
         if self.scenario == "v3_root_scan" and not 1.0 / _V3_MU_MAX <= self.mu <= _V3_MU_MAX:
@@ -341,19 +361,21 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> str:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-    return path
-
-
-def _out_path(cfg: ExperimentConfig, name: str) -> str:
+def _write_text(cfg: ExperimentConfig, name: str, chunks) -> str:
+    """Write the strings of ``chunks`` to ``name`` in ``out_dir``; returns the path."""
     if not cfg.out_dir:
         raise ConfigError("out_dir is required to write results")
     os.makedirs(cfg.out_dir, exist_ok=True)
-    return os.path.join(cfg.out_dir, name)
+    path = os.path.join(cfg.out_dir, name)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.writelines(chunks)
+    return path
+
+
+def _write_csv(cfg: ExperimentConfig, name: str, header, rows) -> str:
+    """Write ``header`` and then ``rows``, one line each, cells through ``_fmt``."""
+    lines = (",".join(map(_fmt, row)) + "\n" for row in itertools.chain([header], rows))
+    return _write_text(cfg, name, lines)
 
 
 def _check_band(T: float, dt: float) -> None:
@@ -495,7 +517,7 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> list[str]:
                     case.error,
                 ]
             )
-    return [_write_csv(_out_path(cfg, "ratio_sweep.csv"), header, rows)]
+    return [_write_csv(cfg, "ratio_sweep.csv", header, rows)]
 
 
 def _run_grid_sweep(cfg: ExperimentConfig, kind: str) -> list[str]:
@@ -511,18 +533,17 @@ def _run_grid_sweep(cfg: ExperimentConfig, kind: str) -> list[str]:
         for value, (dx, dt) in zip(values, cfg._grids()):
             per_version = []
             for version, case in _run_versions(cfg, layers, dx, dt):
-                hist_rows = [[k + 1, e] for k, e in enumerate(case.errors)]
                 row = [ratio, version, value, case.iterations, case.rho_star, case.error]
-                del case  # frees the merged field before the next version runs
                 name = f"{kind}_sweep_history_ratio{ratio:g}_v{version}_{kind}{value:g}.csv"
-                path = _write_csv(_out_path(cfg, name), ["iteration", "error"], hist_rows)
+                path = _write_csv(cfg, name, ["iteration", "error"], enumerate(case.errors, 1))
+                del case  # frees the merged field before the next version runs
                 per_version.append((row, path))
             by_value.append(per_version)
         for per_value in zip(*by_value):
             for row, path in per_value:
                 rows.append(row)
                 paths.append(path)
-    paths.insert(0, _write_csv(_out_path(cfg, f"{kind}_sweep.csv"), header, rows))
+    paths.insert(0, _write_csv(cfg, f"{kind}_sweep.csv", header, rows))
     return paths
 
 
@@ -579,15 +600,11 @@ def run_rho_curves(cfg: ExperimentConfig) -> list[str]:
         for version in cfg.versions:
             params = optimize(version, band, pair).params
             values = rho(grid, params, pair)
-            rows.extend(
-                [ratio, version, float(w), float(r)] for w, r in zip(grid, values)
-            )
-    paths = [_write_csv(_out_path(cfg, "rho_curves.csv"), header, rows)]
-    script = _out_path(cfg, "plot_rho_curves.py")
-    with open(script, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_RHO_PLOT_SCRIPT)
-    paths.append(script)
-    return paths
+            rows += ((ratio, version, w, r) for w, r in zip(grid.tolist(), values.tolist()))
+    return [
+        _write_csv(cfg, "rho_curves.csv", header, rows),
+        _write_text(cfg, "plot_rho_curves.py", [_RHO_PLOT_SCRIPT]),
+    ]
 
 
 def run_v3_root_scan(cfg: ExperimentConfig) -> list[str]:
@@ -606,30 +623,20 @@ def run_v3_root_scan(cfg: ExperimentConfig) -> list[str]:
     residual = lhs - rhs
     sign = np.sign(residual)
     changes = np.nonzero(sign[:-1] * sign[1:] < 0)[0]
-    scan_root = float(0.5 * (ps[changes[0]] + ps[changes[0] + 1])) if changes.size else None
+    scan_root = 0.5 * (ps[changes[0]] + ps[changes[0] + 1]) if changes.size else None
 
-    pair = DiffusionPair(mu * mu, 1.0)
-    result = optimize_v3(band, pair)
-    rows = [
-        [float(p), float(l), float(r), float(d)]
-        for p, l, r, d in zip(ps, lhs, rhs, residual)
-    ]
-    paths = [_write_csv(_out_path(cfg, "v3_root_scan.csv"), ["p", "lhs", "rhs", "residual"], rows)]
-    summary = [
-        [
-            int(changes.size),
-            scan_root,
-            result.params.p,
-            float(ps[1] - ps[0]),
-        ]
-    ]
-    paths.append(
+    result = optimize_v3(band, DiffusionPair(mu * mu, 1.0))
+    rows = zip(ps.tolist(), lhs.tolist(), rhs.tolist(), residual.tolist())
+    summary = [(changes.size, scan_root, result.params.p, ps[1] - ps[0])]
+    paths = [
+        _write_csv(cfg, "v3_root_scan.csv", ["p", "lhs", "rhs", "residual"], rows),
         _write_csv(
-            _out_path(cfg, "v3_root_scan_summary.csv"),
+            cfg,
+            "v3_root_scan_summary.csv",
             ["sign_changes", "scan_root", "bisection_root", "grid_spacing"],
             summary,
-        )
-    )
+        ),
+    ]
     if changes.size != 1:
         raise ScenarioError(
             f"expected exactly one sign change in the bracket, found {changes.size}"
@@ -669,47 +676,26 @@ print("wrote {png}")
 def _run_layered_scenario(cfg: ExperimentConfig, prefix: str) -> list[str]:
     summary_rows = []
     paths = []
-    dump_field = None
-    dump_version = None
+    dump = None  # the field written: Version III's if it converged, else the first converged
     for version, case in _run_versions(cfg, cfg.nu_layers, cfg.dx, cfg.dt):
-        summary_rows.append(
-            [version, case.iterations, case.final_error, case.error]
-        )
-        hist_rows = [[i + 1, e] for i, e in enumerate(case.errors)]
-        paths.append(
-            _write_csv(
-                _out_path(cfg, f"{prefix}_history_v{version}.csv"),
-                ["iteration", "error"],
-                hist_rows,
-            )
-        )
-        if case.field is not None and not case.error:
-            if dump_version is None or version == "III":
-                dump_field = case.field
-                dump_version = version
-    paths.insert(
-        0,
-        _write_csv(
-            _out_path(cfg, f"{prefix}_summary.csv"),
-            ["version", "iterations", "final_error", "error"],
-            summary_rows,
-        ),
-    )
-    if dump_field is None:
+        summary_rows.append([version, case.iterations, case.final_error, case.error])
+        name = f"{prefix}_history_v{version}.csv"
+        paths.append(_write_csv(cfg, name, ["iteration", "error"], enumerate(case.errors, 1)))
+        if case.field is not None and not case.error and (dump is None or version == "III"):
+            dump = case.field
+    header = ["version", "iterations", "final_error", "error"]
+    paths.insert(0, _write_csv(cfg, f"{prefix}_summary.csv", header, summary_rows))
+    if dump is None:
         raise ScenarioError("no version converged; no field to write")
-    field_rows = []
-    times = dump_field.times
-    nodes = dump_field.mesh.nodes
-    for k, t in enumerate(times):
-        for j, x in enumerate(nodes):
-            field_rows.append([float(x), float(t), float(dump_field.values[k, j])])
+    t, x = np.meshgrid(dump.times, dump.mesh.nodes, indexing="ij")
+    rows = zip(x.ravel().tolist(), t.ravel().tolist(), dump.values.ravel().tolist())
     field_name = f"{prefix}_field.csv"
-    paths.append(_write_csv(_out_path(cfg, field_name), ["x", "t", "u"], field_rows))
-    script = _out_path(cfg, f"plot_{prefix}_field.py")
-    with open(script, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_FIELD_PLOT_SCRIPT.format(name=field_name, png=f"{prefix}_field.png"))
-    paths.append(script)
-    return paths
+    script = _FIELD_PLOT_SCRIPT.format(name=field_name, png=f"{prefix}_field.png")
+    return [
+        *paths,
+        _write_csv(cfg, field_name, ["x", "t", "u"], rows),
+        _write_text(cfg, f"plot_{prefix}_field.py", [script]),
+    ]
 
 
 def run_tps_three_layer(cfg: ExperimentConfig) -> list[str]:

@@ -82,21 +82,19 @@ class CaseDataError(ValueError):
     """
 
 
-def _endpoint_level(mu: float, k_r: float) -> float:
-    """rho at wt1 when p sits at the upper end sqrt(2*mu)*wt2 of the center range.
+def _interior_level(mu: float) -> float:
+    """The interior hump level of the one-parameter scaling: rho at wt = p/sqrt(2*mu).
 
-    At k_r = 1 this is the interior hump level of the one-parameter scaling,
-    which depends on mu only: substituting wt = p/sqrt(2*mu) into rho
-    cancels p.
+    Substituting that wt into rho cancels p, so the level depends on mu only.
     """
     a = math.sqrt(2.0 * mu)
     s2 = math.sqrt(2.0)
     sm = math.sqrt(mu)
     return math.sqrt(
-        ((a * k_r - 1.0) ** 2 + 1.0)
-        / ((s2 * k_r + sm) ** 2 + mu)
-        * ((s2 * k_r - sm) ** 2 + mu)
-        / ((a * k_r + 1.0) ** 2 + 1.0)
+        ((a - 1.0) ** 2 + 1.0)
+        / ((s2 + sm) ** 2 + mu)
+        * ((s2 - sm) ** 2 + mu)
+        / ((a + 1.0) ** 2 + 1.0)
     )
 
 
@@ -121,7 +119,6 @@ class VersionICaseData:
     interval_center: tuple[float, float]
     interval_right: tuple[float, float] | None
     interior_level: float
-    endpoint_level: float
 
 
 def version_i_case_data(band: FrequencyBand, mu: float) -> VersionICaseData:
@@ -132,12 +129,9 @@ def version_i_case_data(band: FrequencyBand, mu: float) -> VersionICaseData:
     k_r = band.k_r
     a = math.sqrt(2.0 * mu)
     center = (a * wt1, a * wt2)
-    r_c = _endpoint_level(mu, 1.0)
-    r_ext = _endpoint_level(mu, k_r)
+    r_c = _interior_level(mu)
     if mu <= MU_SPLIT:
-        return VersionICaseData(
-            mu, k_r, "small_mu", None, None, None, None, center, None, r_c, r_ext
-        )
+        return VersionICaseData(mu, k_r, "small_mu", None, None, None, None, center, None, r_c)
     # h1 and h2 are of degree one in (mu, 1); see _version_i_scaling.
     k, m, t = _version_i_scaling(mu)
     delta, _ = _version_i_split_roots(mu)
@@ -162,9 +156,7 @@ def version_i_case_data(band: FrequencyBand, mu: float) -> VersionICaseData:
         branch = "case_ii"
     else:
         branch = "case_iii"
-    return VersionICaseData(
-        mu, k_r, branch, delta, h1, h2, left, center, right, r_c, r_ext
-    )
+    return VersionICaseData(mu, k_r, branch, delta, h1, h2, left, center, right, r_c)
 
 
 @dataclass(frozen=True)

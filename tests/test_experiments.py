@@ -27,10 +27,16 @@ from oswr.experiments import (
     run_tps_three_layer,
     run_v3_root_scan,
 )
-from oswr.fem import solve_monolithic
-from oswr.frequency import frequency_band_from_grid
-from oswr.optimize import VERSIONS, v3_bracket
-from oswr.schwarz import INIT_MODES, SWEEP_MODES
+from oswr.fem import DiffusionProfile, HeatProblem, Mesh1D, solve_monolithic
+from oswr.frequency import DiffusionPair, frequency_band_from_grid, rho
+from oswr.optimize import VERSIONS, optimize, v3_bracket
+from oswr.schwarz import (
+    INIT_MODES,
+    SWEEP_MODES,
+    decompose,
+    interface_diffusion_pairs,
+    oswr_iterate,
+)
 
 
 def _write(tmp_path, name, text):
@@ -176,6 +182,62 @@ def test_reruns_are_byte_identical(tmp_path):
             run_scenario(cfg)
             written.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert written[0] == written[1], scenario
+
+
+def _text(header, lines):
+    return "".join(f"{line}\n" for line in [header, *lines]).encode("utf-8")
+
+
+def test_artifacts_hold_the_values_the_library_computes(tmp_path):
+    # Each line's text, rebuilt from the library's own results: every error
+    # history, the merged field of the converged Version III iterate in
+    # time-major order, and rho over the band grid.
+    cfg = _small_cfg(tmp_path, scenario="custom", nu_layers=(1.0, 0.1), versions=("II", "III"))
+    run_scenario(cfg)
+    out = tmp_path / "out"
+    mesh = Mesh1D.uniform(0.0, 1.0, 8)
+    deco = decompose(mesh, cfg.interfaces)
+    diffusion = DiffusionProfile(cfg.nu_layers, cfg.interfaces)
+    problem = HeatProblem(diffusion, None, cfg.u0, cfg.g_left, cfg.g_right, cfg.T, cfg.dt)
+    reference = solve_monolithic(problem, mesh)
+    band = frequency_band_from_grid(cfg.T, cfg.dt)
+    pairs = interface_diffusion_pairs(problem, deco)
+    fields = {}
+    for version in cfg.versions:
+        history, fields[version] = oswr_iterate(
+            problem, deco, [optimize(version, band, pair).params for pair in pairs],
+            tol=cfg.tolerance, max_iter=cfg.max_iter, init=cfg.init, sweep=cfg.sweep,
+            reference=reference,
+        )
+        assert history.converged
+        assert (out / f"custom_history_v{version}.csv").read_bytes() == _text(
+            "iteration,error", (f"{k},{e:.17g}" for k, e in enumerate(history.errors, 1))
+        )
+    merged = fields["III"]
+    assert (out / "custom_field.csv").read_bytes() == _text(
+        "x,t,u",
+        (
+            f"{x:.17g},{t:.17g},{u:.17g}"
+            for t, values in zip(merged.times, merged.values)
+            for x, u in zip(merged.mesh.nodes, values)
+        ),
+    )
+
+    cfg = ExperimentConfig(
+        scenario="rho_curves", ratios=(100.0,), rho_points=500, out_dir=str(tmp_path / "rho")
+    )
+    run_scenario(cfg)
+    band = frequency_band_from_grid(cfg.T, cfg.dt)
+    grid = band.geometric_grid(cfg.rho_points)
+    pair = DiffusionPair(cfg.nu1, cfg.nu1 / 100.0)
+    curves = [
+        f"100,{version},{w:.17g},{r:.17g}"
+        for version in cfg.versions
+        for w, r in zip(grid, rho(grid, optimize(version, band, pair).params, pair))
+    ]
+    assert len(curves) == 3 * 500
+    written = (tmp_path / "rho" / "rho_curves.csv").read_bytes()
+    assert written == _text("ratio,version,wt,rho", curves)
 
 
 def test_ratio_sweep_records_row_failure_and_continues(tmp_path):
@@ -869,6 +931,21 @@ def test_band_just_inside_where_rho_is_finite_runs_clean(tmp_path, argv, csv):
                 assert math.isfinite(float(value)), name
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ratio", ["1e16", "1e100", "1e300"])
+def test_version_i_on_the_widest_band_runs_clean(tmp_path, ratio):
+    # Version I's case data held rho at wt1 for p at the top of its center
+    # range, a value nothing read; at k_r = 2e150 its square overflowed and
+    # the run ended in an OverflowError traceback.
+    out = tmp_path / "out"
+    argv = ["rho-curves", "--T", "2e150", "--dt", "1e-150", "--ratios", ratio, "--versions", "I"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    rows = _rows_as_dicts(str(out / "rho_curves.csv"))
+    assert len(rows) == 512
+    # Across 150 decades of frequency rho reaches 1 in doubles at the ends.
+    assert all(0.0 < float(row["rho"]) <= 1.0 for row in rows)
+
+
 @pytest.mark.parametrize("mu", [1e38, 1e40, 1e50, 1e76])
 def test_v3_bisection_finds_the_scan_root_at_huge_jumps(tmp_path, mu):
     # The residual scales like mu**-4: a product of two residuals underflows
@@ -933,6 +1010,50 @@ def test_sweep_with_some_failing_grids_still_runs(tmp_path):
     assert main(argv) == 0
     _, rows = _read_rows(str(out / "dt_sweep.csv"))
     assert [row[5] for row in rows] == ["dt=0.3 does not divide T=1.0", ""]
+
+
+_SWEEP_II = ["--versions", "II", "--T", "1"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["tps", "--versions", "III,III", "--T", "0.5"],
+            "versions must be a nonempty subset of I,II,III, got ('III', 'III')",
+        ),
+        (
+            ["rho-curves", "--versions", "I,II,I"],
+            "versions must be a nonempty subset of I,II,III, got ('I', 'II', 'I')",
+        ),
+        (
+            ["dt-sweep", "--ratios", "1e6,1000001", "--dts", "0.05", *_SWEEP_II],
+            "ratios 1000000.0 and 1000001.0 give the same history file name ratio1e+06",
+        ),
+        (
+            ["dx-sweep", "--ratios", "10,10", "--dxs", "0.05", *_SWEEP_II],
+            "ratios 10.0 and 10.0 give the same history file name ratio10",
+        ),
+        (
+            ["dt-sweep", "--ratios", "10", "--dts", "0.05,0.0500000001", *_SWEEP_II],
+            "dts 0.05 and 0.0500000001 give the same history file name dt0.05",
+        ),
+        (
+            ["dx-sweep", "--ratios", "10", "--dxs", "0.05,0.05000000000001", *_SWEEP_II],
+            "dxs 0.05 and 0.05000000000001 give the same history file name dx0.05",
+        ),
+    ],
+    ids=["tps-versions", "rho-versions", "dt-ratios", "dx-ratios", "dts", "dxs"],
+)
+def test_repeated_versions_and_colliding_history_names_are_config_errors(
+    tmp_path, capsys, argv, message
+):
+    # A repeated version wrote its summary row twice and its history twice;
+    # sweep values with the same {:g} text wrote one history over another.
+    out = tmp_path / "out"
+    assert main([*argv, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["ratio-sweep", "dt-sweep", "dx-sweep"])

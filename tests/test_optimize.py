@@ -541,6 +541,16 @@ def test_optimize_v1_certifies_at_every_jump_a_double_can_hold(diff):
     assert res.rho_star <= oracle_val * (1.0 + 1e-9)
 
 
+@pytest.mark.parametrize("ratio", [1e16, 1e100, 1e300])
+def test_version_i_on_the_widest_band_gives_a_finite_rho_star(ratio):
+    # k_r = 2e150 at the edge of the band bound: the case data's unread
+    # rho at p = sqrt(2*mu)*wt2 squared sqrt(2*mu)*k_r and overflowed.
+    band = frequency_band_from_grid(2e150, 1e-150)
+    res = optimize("I", band, DiffusionPair(1.0, 1.0 / ratio))
+    # The min-max over 150 decades of frequency is 1 to double precision.
+    assert res.rho_star == 1.0
+
+
 def _direct_quartic_roots(band, mu):
     """The quartic roots as computed before mu was scaled: b*b overflows for mu near 1e77."""
     wt1, wt2 = band.wt1, band.wt2
