@@ -8,10 +8,13 @@ digits for reals, LF endings, UTF-8, no timestamps) into ``out_dir``.
 
 Runners hand their rows, built straight from arrays, to one writer:
 ``_write_csv`` formats every cell with ``_fmt`` and passes the lines to
-``_write_text``, which also writes the plot scripts and is the only code that
-reads ``out_dir``.  Every artifact has its own name, so a scenario never
-writes a file twice: versions may not repeat, and the ratios and grid values
-of a sweep may not share the ``{:g}`` text of their history file names.
+``_write_text``, which also writes the plot scripts and the layered field
+(``_field_chunks``, one chunk per time level) and is the only code that
+reads ``out_dir``.  ``_fmt`` and the field's line templates write reals with
+the one spec ``_REAL``.  A scenario never writes a file or a row twice:
+versions may not repeat, nor may the ratios of a sweep or of the curves, and
+the ratios and grid values of the dt and dx sweeps may not share the
+``{:g}`` text of their history file names.
 """
 
 from __future__ import annotations
@@ -271,6 +274,10 @@ class ExperimentConfig:
             for nu2 in [self.nu1 / ratio for ratio in self.effective_ratios()]:
                 if not _RULES["positive"](nu2):
                     raise ConfigError(f"nu1/ratio must be positive and finite, got {nu2!r}")
+        if self.scenario in ("ratio_sweep", "rho_curves"):
+            ratios = self.effective_ratios()
+            if len(set(ratios)) < len(ratios):
+                raise ConfigError(f"ratios must not repeat, got {ratios!r}")
         if self.scenario in ("dt_sweep", "dx_sweep"):
             kind = self.scenario[:2]
             for key, tag in (("ratios", "ratio"), (kind + "s", kind)):
@@ -353,9 +360,12 @@ def parse_config(path: str) -> ExperimentConfig:
     return cfg
 
 
+_REAL = "%.17g"  # how a real is written, in a cell and in a field line template
+
+
 def _fmt(value) -> str:
     if isinstance(value, float):
-        return f"{value:.17g}"
+        return _REAL % value
     if value is None:
         return ""
     return str(value)
@@ -376,6 +386,19 @@ def _write_csv(cfg: ExperimentConfig, name: str, header, rows) -> str:
     """Write ``header`` and then ``rows``, one line each, cells through ``_fmt``."""
     lines = (",".join(map(_fmt, row)) + "\n" for row in itertools.chain([header], rows))
     return _write_text(cfg, name, lines)
+
+
+def _field_chunks(x: np.ndarray, t: np.ndarray, u: np.ndarray) -> Iterator[str]:
+    """The ``x,t,u`` lines of ``u[k, i]`` at (x[i], t[k]), one chunk per time level.
+
+    The text of ``_write_csv``'s rows (x, t, u) in time-major order: each x
+    is formatted once, and a level is one line template, its t written in,
+    filled with the level's values by one ``%``.
+    """
+    xs = [_fmt(v) for v in x.tolist()]
+    for time, level in zip(t.tolist(), u):
+        line = f",{_fmt(time)},{_REAL}\n"
+        yield (line.join(xs) + line) % tuple(level.tolist())
 
 
 def _check_band(T: float, dt: float) -> None:
@@ -687,13 +710,12 @@ def _run_layered_scenario(cfg: ExperimentConfig, prefix: str) -> list[str]:
     paths.insert(0, _write_csv(cfg, f"{prefix}_summary.csv", header, summary_rows))
     if dump is None:
         raise ScenarioError("no version converged; no field to write")
-    t, x = np.meshgrid(dump.times, dump.mesh.nodes, indexing="ij")
-    rows = zip(x.ravel().tolist(), t.ravel().tolist(), dump.values.ravel().tolist())
     field_name = f"{prefix}_field.csv"
+    lines = _field_chunks(dump.mesh.nodes, dump.times, dump.values)
     script = _FIELD_PLOT_SCRIPT.format(name=field_name, png=f"{prefix}_field.png")
     return [
         *paths,
-        _write_csv(cfg, field_name, ["x", "t", "u"], rows),
+        _write_text(cfg, field_name, itertools.chain(["x,t,u\n"], lines)),
         _write_text(cfg, f"plot_{prefix}_field.py", [script]),
     ]
 

@@ -2,9 +2,10 @@
 
 Uniform meshes, piecewise-constant diffusion whose breakpoints sit on mesh
 nodes, a consistent or (``lumped_mass``) row-sum lumped mass matrix, and
-tridiagonal direct solves with a prefactored no-pivot LU (the systems
-assembled here are strictly diagonally dominant).  Loads and boundary data
-are evaluated at the new time level (fully implicit).
+tridiagonal direct solves, of one right-hand side or a block of them, with
+a prefactored no-pivot LU (the systems assembled here are strictly
+diagonally dominant).  Loads and boundary data are evaluated at the new
+time level (fully implicit).
 
 For domain decomposition three extra ingredients are provided:
 single-domain solves with Robin data
@@ -296,8 +297,12 @@ class TridiagonalSolver:
     """Prefactored LU of a tridiagonal matrix, no pivoting.
 
     Factor once, then solve repeatedly against new right-hand sides; the
-    per-solve cost is two short sweeps.  Intended for the strictly
-    diagonally dominant systems assembled in this module.
+    per-solve cost is two short sweeps.  ``solve`` takes an (n,) vector or
+    an (n, k) block of k right-hand sides.  A vector is swept as a list of
+    floats, the fastest way for one; a block as a list of its rows, with
+    numpy row operations, so the Python work is O(n) for any k and each
+    column gets exactly the arithmetic of its own vector solve.  Intended
+    for the strictly diagonally dominant systems assembled in this module.
     """
 
     def __init__(self, matrix: TridiagonalMatrix):
@@ -326,10 +331,14 @@ class TridiagonalSolver:
         mult = self._mult
         inv_piv = self._inv_piv
         upper = self._upper
-        y = rhs.tolist()
+        if rhs.shape[0] != n:
+            raise ValueError(f"right-hand side has {rhs.shape[0]} rows, the matrix {n}")
+        # A list of floats or of row views; every step rebinds its entry,
+        # so a block's rows are never written through to ``rhs``.
+        y = rhs.tolist() if rhs.ndim == 1 else list(rhs)
         for i in range(1, n):
-            y[i] -= mult[i - 1] * y[i - 1]
-        y[n - 1] *= inv_piv[n - 1]
+            y[i] = y[i] - mult[i - 1] * y[i - 1]
+        y[n - 1] = y[n - 1] * inv_piv[n - 1]
         for i in range(n - 2, -1, -1):
             y[i] = (y[i] - upper[i] * y[i + 1]) * inv_piv[i]
         return np.array(y)
@@ -487,8 +496,8 @@ def robin_impulse_responses(
     No time loop: without data after level 1 a step is the fixed map
     u_k = P u_{k-1}, P = A^{-1} B (A the system matrix, B the mass matrix
     with its Dirichlet rows zeroed), so level k is P^(k-1) h_1 with
-    h_1 = A^{-1} (dt e_end).  P is formed column by column with the
-    tridiagonal solver, and the levels are filled by doubling:
+    h_1 = A^{-1} (dt e_end).  P and every h_1 come from one block solve of
+    [B | dt e_end per Robin end], and the levels are filled by doubling:
     levels w+1..2w are P^w applied to levels 1..w, and P^2w = P^w P^w.
     The products are ``np.einsum`` contractions, which run in numpy's own
     loops rather than in a threaded BLAS.  The cost is O(n^3 log N + n^2 N)
@@ -504,19 +513,20 @@ def robin_impulse_responses(
     dt = problem.time_step
     n_steps = problem.n_steps
     n_nodes = mesh.n_nodes
-    B = mass.to_dense()
+    # One block solve of [B | dt e_end per Robin end] gives P and every h_1.
+    rhs = np.zeros((n_nodes, n_nodes + len(sides)))
+    rhs[:, :n_nodes] = mass.to_dense()
     for side, idx in (("left", 0), ("right", -1)):
-        if side not in sigmas:
-            B[idx] = 0.0
-    solver = TridiagonalSolver(A)
-    power = np.stack([solver.solve(B[:, c]) for c in range(n_nodes)], axis=1)
+        if side in sigmas:
+            rhs[idx, n_nodes + sides.index(side)] = dt
+        else:
+            rhs[idx, :n_nodes] = 0.0
+    solved = TridiagonalSolver(A).solve(rhs)
+    power = np.ascontiguousarray(solved[:, :n_nodes])
 
     # levels[:, k, r]: node values at level k + 1 for the impulse at sides[r]
     levels = np.empty((n_nodes, n_steps, len(sides)))
-    for r, side in enumerate(sides):
-        rhs = np.zeros(n_nodes)
-        rhs[0 if side == "left" else -1] = dt
-        levels[:, 0, r] = solver.solve(rhs)
+    levels[:, 0] = solved[:, n_nodes:]
     done = 1
     while done < n_steps:
         m = min(done, n_steps - done)

@@ -18,6 +18,8 @@ from oswr.experiments import (
     ConfigError,
     ExperimentConfig,
     ScenarioError,
+    _field_chunks,
+    _fmt,
     parse_config,
     run_dt_sweep,
     run_dx_sweep,
@@ -238,6 +240,28 @@ def test_artifacts_hold_the_values_the_library_computes(tmp_path):
     assert len(curves) == 3 * 500
     written = (tmp_path / "rho" / "rho_curves.csv").read_bytes()
     assert written == _text("ratio,version,wt,rho", curves)
+
+
+def test_field_chunks_are_the_cell_formatter_rows_one_chunk_per_level():
+    # Awkward reals: signed zero, the least subnormal, values near the
+    # largest double, a repeating fraction, an integral value, and x and t
+    # values that print in exponent form.
+    x = np.array([-2.5e-20, -0.0, 1.0 / 3.0, 20.0, 1.5e17])
+    t = np.array([0.0, 1e-30, 7.25e21])
+    u = np.array(
+        [
+            [-0.0, 5e-324, 1.7e308, -1.7e308, 1.0 / 3.0],
+            [20.0, -5e-324, 0.1, 2.5e-300, -1.0 / 3.0],
+            [1e16, 123456789.0, -20.0, 0.0, 1.7976931348623157e308],
+        ]
+    )
+    chunks = list(_field_chunks(x, t, u))
+    assert chunks == [
+        "".join(",".join(map(_fmt, (xi, tk, ui))) + "\n" for xi, ui in zip(x.tolist(), row))
+        for tk, row in zip(t.tolist(), u.tolist())
+    ]
+    assert chunks[0].startswith("-2.4999999999999999e-20,0,-0\n-0,0,4.9406564584124654e-324\n")
+    assert chunks[1].startswith("-2.4999999999999999e-20,1.0000000000000001e-30,20\n")
 
 
 def test_ratio_sweep_records_row_failure_and_continues(tmp_path):
@@ -1027,6 +1051,14 @@ _SWEEP_II = ["--versions", "II", "--T", "1"]
             "versions must be a nonempty subset of I,II,III, got ('I', 'II', 'I')",
         ),
         (
+            ["ratio-sweep", "--ratios", "10,100,10", *_SWEEP_II],
+            "ratios must not repeat, got (10.0, 100.0, 10.0)",
+        ),
+        (
+            ["rho-curves", "--ratios", "10,10", "--versions", "II"],
+            "ratios must not repeat, got (10.0, 10.0)",
+        ),
+        (
             ["dt-sweep", "--ratios", "1e6,1000001", "--dts", "0.05", *_SWEEP_II],
             "ratios 1000000.0 and 1000001.0 give the same history file name ratio1e+06",
         ),
@@ -1043,13 +1075,17 @@ _SWEEP_II = ["--versions", "II", "--T", "1"]
             "dxs 0.05 and 0.05000000000001 give the same history file name dx0.05",
         ),
     ],
-    ids=["tps-versions", "rho-versions", "dt-ratios", "dx-ratios", "dts", "dxs"],
+    ids=[
+        "tps-versions", "rho-versions", "ratio-ratios", "rho-ratios", "dt-ratios", "dx-ratios",
+        "dts", "dxs",
+    ],
 )
 def test_repeated_versions_and_colliding_history_names_are_config_errors(
     tmp_path, capsys, argv, message
 ):
-    # A repeated version wrote its summary row twice and its history twice;
-    # sweep values with the same {:g} text wrote one history over another.
+    # A repeated version wrote its summary row twice and its history twice,
+    # a repeated ratio its rows or its curve twice; sweep values with the
+    # same {:g} text wrote one history over another.
     out = tmp_path / "out"
     assert main([*argv, "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"

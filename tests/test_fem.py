@@ -15,6 +15,7 @@ from oswr.fem import (
     SpaceTimeField,
     TridiagonalMatrix,
     TridiagonalSolver,
+    _step_operators,
     assemble_operators,
     robin_impulse_responses,
     solve_monolithic,
@@ -169,6 +170,32 @@ def test_tridiagonal_solver_matches_dense():
         rhs = rng.normal(size=n)
         x = solver.solve(rhs)
         assert np.linalg.norm(mat.to_dense() @ x - rhs) <= 1e-12 * np.linalg.norm(rhs)
+    # Extra rows would come back unsolved, too few fail partway through.
+    for shape in ((n - 1,), (n + 2,), (n - 1, 3), (n + 2, 3)):
+        with pytest.raises(ValueError, match=f"has {shape[0]} rows, the matrix {n}"):
+            solver.solve(np.ones(shape))
+
+
+@pytest.mark.parametrize("k", [1, 25, 27])  # 1, n and n + 2 columns
+@pytest.mark.parametrize("lumped_mass", [False, True])
+@pytest.mark.parametrize(
+    "sigmas", [{}, {"left": 0.7}, {"right": 2.5}, {"left": 0.7, "right": 2.5}]
+)
+def test_block_solve_is_the_column_solves_bit_for_bit(sigmas, lumped_mass, k):
+    # The system matrices of the stepper: Dirichlet or Robin ends, a jump.
+    problem = replace(
+        _plain_problem(nu_layers=(1.0, 0.05), breakpoints=(0.375,), dt=1.0 / 32.0),
+        lumped_mass=lumped_mass,
+    )
+    mesh = Mesh1D.uniform(0.0, 0.75, 24)
+    solver = TridiagonalSolver(_step_operators(problem, mesh, sigmas)[1])
+    rhs = np.random.default_rng(3).normal(size=(mesh.n_nodes, k))
+    given = rhs.copy()
+    block = solver.solve(rhs)
+    columns = np.stack([solver.solve(rhs[:, c].copy()) for c in range(k)], axis=1)
+    assert block.shape == rhs.shape
+    assert np.array_equal(block, columns)
+    assert np.array_equal(rhs, given)  # the block is not solved in place
 
 
 # ------------------------------------------------------------ time stepping
@@ -332,13 +359,40 @@ def _stepped_impulse_responses(problem, mesh, sigmas):
     return responses
 
 
+def _column_impulse_responses(problem, mesh, sigmas):
+    """The responses with P and each h_1 from vector solves, one column at a time."""
+    mass, A = _step_operators(problem, mesh, sigmas)
+    B = mass.to_dense()
+    for side, idx in (("left", 0), ("right", -1)):
+        if side not in sigmas:
+            B[idx] = 0.0
+    solver = TridiagonalSolver(A)
+    power = np.stack([solver.solve(B[:, c]) for c in range(mesh.n_nodes)], axis=1)
+    sides = [side for side in ("left", "right") if side in sigmas]
+    levels = np.empty((mesh.n_nodes, problem.n_steps, len(sides)))
+    for r, side in enumerate(sides):
+        rhs = np.zeros(mesh.n_nodes)
+        rhs[0 if side == "left" else -1] = problem.time_step
+        levels[:, 0, r] = solver.solve(rhs)
+    done = 1
+    while done < problem.n_steps:
+        m = min(done, problem.n_steps - done)
+        levels[:, done : done + m] = np.einsum("ij,jkr->ikr", power, levels[:, :m])
+        done += m
+        if done < problem.n_steps:
+            power = np.einsum("ij,jk->ik", power, power)
+    return {side: levels[:, :, r].T for r, side in enumerate(sides)}
+
+
 def _check_impulse_responses(problem, mesh, sigmas):
     expected = _stepped_impulse_responses(problem, mesh, sigmas)
+    by_columns = _column_impulse_responses(problem, mesh, sigmas)
     responses = robin_impulse_responses(problem, mesh, sigmas)
     assert list(responses) == list(expected)
     for side, h in responses.items():
         assert h.shape == (problem.n_steps, mesh.n_nodes)
         assert np.abs(h - expected[side]).max() <= 1e-12
+        assert np.array_equal(h, by_columns[side])  # one block solve changes no bit
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 200])

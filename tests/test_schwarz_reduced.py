@@ -9,7 +9,7 @@ that against direct solves and against the step-by-step iteration it
 replaced, kept here as the reference: that one exchanges interface traces
 and variationally recovered fluxes, where ``oswr_iterate`` exchanges
 Robin data only.  They also pin the iteration's calls: no time stepping
-and a fixed number of tridiagonal solves per case, one error evaluation
+and one tridiagonal block solve per subdomain and case, one error evaluation
 per iteration, one flux recovery per interface at most.
 """
 
@@ -226,8 +226,8 @@ def test_no_time_stepping_and_fixed_solve_count_per_case(
     monkeypatch, n_interfaces, time_step
 ):
     """Given the reference, a case steps nothing in time: it makes one
-    tridiagonal solve per node and per Robin end of each subdomain, however
-    many steps and iterations it runs."""
+    tridiagonal block solve per subdomain, for its propagator and its
+    Robin-end impulses together, however many steps and iterations it runs."""
     problem, deco, params, reference = _small_case(n_interfaces, time_step)
     robin_solves = [
         _counting(monkeypatch, "solve_subdomain_robin", owner) for owner in (fem, schwarz)
@@ -238,7 +238,7 @@ def test_no_time_stepping_and_fixed_solve_count_per_case(
         raise AssertionError("the given reference must not be solved again")
 
     monkeypatch.setattr(schwarz, "solve_monolithic", no_monolithic)
-    expected = sum(mesh.n_nodes for mesh in deco.submeshes) + 2 * n_interfaces
+    expected = deco.n_subdomains
     for max_iter in (1, 7):
         solves.clear()
         history, _ = oswr_iterate(
