@@ -35,8 +35,10 @@ from .optimize import (
     OptimizationError,
     optimize,
     optimize_v3,
+    restriction_intervals_v3,
     v3_bracket,
     v3_equation_sides,
+    v3_residual,
 )
 from .schwarz import (
     INIT_MODES,
@@ -296,6 +298,8 @@ class ExperimentConfig:
             raise ConfigError(
                 f"mu must lie within [{1.0 / _V3_MU_MAX:.3g}, {_V3_MU_MAX:.3g}], got {self.mu!r}"
             )
+        if self.scenario == "v3_root_scan":
+            _check_root_above_scan_start(self)
         if self.scenario in _WR:
             errors = []
             for dx, dt in self._grids():
@@ -411,6 +415,28 @@ def _check_band(T: float, dt: float) -> None:
         raise ConfigError(
             f"T={T!r} and dt={dt!r} give the frequency band [{band.wt1:.3g}, {band.wt2:.3g}], "
             f"outside [{1.0 / _WT_MAX:.3g}, {_WT_MAX:.3g}] where rho stays finite"
+        )
+
+
+def _check_root_above_scan_start(cfg: ExperimentConfig) -> None:
+    """ConfigError when the Version III root lies below the root scan's first point.
+
+    The scan starts at the left end of ``v3_bracket``, V3_BRACKET_SHRINK of
+    the bracket above the lower end p_lo of the p range.  From a band
+    ratio of about 1e20 on the root lies between the two (the residual is
+    negative at p_lo and positive at the first point), so the scan sees no
+    sign change however many points it takes.
+    """
+    band = frequency_band_from_grid(cfg.T, cfg.dt)
+    mu = max(cfg.mu, 1.0 / cfg.mu)
+    (p_lo, _), _ = restriction_intervals_v3(band, mu)
+    start = v3_bracket(band, mu)[0]
+    k = math.frexp(mu)[1]
+    if v3_residual(p_lo, band, mu, k) < 0.0 < v3_residual(start, band, mu, k):
+        raise ConfigError(
+            f"resolution limit of the root scan: T={cfg.T!r} and dt={cfg.dt!r} give the band "
+            f"ratio k_r={band.k_r:.3g}, which puts the root below the scan's first point "
+            f"p={start:.3g}"
         )
 
 

@@ -185,10 +185,18 @@ def _rho_sq_factor(wt, sigma, nu_own: float, nu_other: float):
     Both nu are scaled by 4**-k and sigma by 2**-k, with k bringing the
     larger nu near 1: that scales num and den by 4**-k exactly, which rho**2
     cancels, and keeps extreme coefficients from under- or overflowing it.
+    The factor is also of degree 0 in (sigma, wt), so each entry's pair is
+    scaled by 2**-e, with e bringing the larger of the two into [0.5, 1):
+    at the lowest bands, where both are tiny, the products of the two
+    sides' num and den no longer underflow to 0/0.  Powers of two scale
+    exactly, so wherever every intermediate stays normal the bits are
+    those of the unscaled form.
     """
     k = math.frexp(max(nu_own, nu_other))[1] // 2
     nu_own, nu_other = math.ldexp(nu_own, -2 * k), math.ldexp(nu_other, -2 * k)
     sigma = sigma * math.ldexp(1.0, -k)
+    e = -np.frexp(np.maximum(sigma, wt))[1]
+    sigma, wt = np.ldexp(sigma, e), np.ldexp(wt, e)
     wsq = wt * wt
     num = (sigma - np.sqrt(nu_other) * wt) ** 2 + nu_other * wsq
     den = (sigma + np.sqrt(nu_own) * wt) ** 2 + nu_own * wsq

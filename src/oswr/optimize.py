@@ -492,29 +492,42 @@ def _grid(lo: float, hi: float, n: int) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-# p rows of the Version III oracle whose lower bounds are built at once.
-_ORACLE_BLOCK_ROWS = 64
+# Side of the square (p, q) tiles whose bounds let the Version III oracle
+# skip whole tiles; band maxima are taken in chunks of twice this many.
+_ORACLE_TILE = 16
 
 
 def _pruned_first_argmin(bound_sq: np.ndarray, band_max, cap: float = math.inf):
     """First row-major minimizer of ``band_max`` among candidates the bound keeps.
 
     ``bound_sq`` holds a lower bound on each candidate's band maximum of
-    rho**2 (inf marks a candidate outside the search) and
-    ``band_max(flat)`` the band maxima of rho at flat candidate indices.
-    The threshold U is the smaller of ``cap`` and the band maximum of the
-    candidate with the smallest bound, so U is at least the minimum; a
-    candidate with sqrt(bound) > U is strictly above it and is skipped.
-    Returns (flat index, band maximum), or None when no candidate is kept.
+    rho**2 and ``band_max(flat)`` the band maxima of rho at flat candidate
+    indices.  Candidates are visited in ascending bound, ``2 *
+    _ORACLE_TILE`` at a time.  The threshold U starts at ``cap`` and after
+    each chunk drops to the best band maximum so far, so U is at least the
+    minimum; a candidate with sqrt(bound) > U is strictly above it and is
+    skipped, and the first chunk that keeps none ends the scan.  Every
+    candidate that attains the minimum is visited, and the smallest flat
+    index among them wins.  Returns (flat index, band maximum), or None
+    when no candidate is kept.
     """
     flat = bound_sq.ravel()
-    threshold = min(cap, float(band_max(np.argmin(flat, keepdims=True))[0]))
-    kept = np.flatnonzero(np.sqrt(flat) <= threshold)
-    if kept.size == 0:
+    order = np.argsort(flat)
+    threshold, seen, maxima = cap, [], []
+    for start in range(0, order.size, 2 * _ORACLE_TILE):
+        chunk = order[start : start + 2 * _ORACLE_TILE]
+        chunk = chunk[np.sqrt(flat[chunk]) <= threshold]
+        if chunk.size == 0:
+            break
+        seen.append(chunk)
+        maxima.append(band_max(chunk))
+        threshold = min(threshold, float(maxima[-1].min()))
+    if not seen:
         return None
-    maxima = band_max(kept)
-    j = int(np.argmin(maxima))
-    return int(kept[j]), float(maxima[j])
+    seen, maxima = np.concatenate(seen), np.concatenate(maxima)
+    by_index = np.argsort(seen)
+    j = by_index[np.argmin(maxima[by_index])]
+    return int(seen[j]), float(maxima[j])
 
 
 def brute_force_minmax(
@@ -534,34 +547,40 @@ def brute_force_minmax(
     normalized orientation, with sigma1 = sqrt(nu2) * p and sigma2 =
     sqrt(nu1) * q (sqrt(nu2) * q for Version I).  Versions I and II give
     both grids one range and search the diagonal p = q; Version III
-    searches q >= p over the product of its two ranges,
-    ``_ORACLE_BLOCK_ROWS`` p rows at a time.  The result is built from the
-    winning pair, swapped back when the input pair had nu1 < nu2.
+    searches q >= p over the product of its two ranges.  The result is
+    built from the winning pair, swapped back when the input pair had
+    nu1 < nu2.
 
     The band maximum of a candidate is taken over the geometric frequency
     grid plus its interior stationary frequencies, clipped to the band, as
     ``max_rho_over_band`` does.  Only candidates that can win get it:
 
-    1. A lower bound on every candidate's maximum of rho**2 is the maximum
-       at three grid frequencies, the first, the middle and the last.  The
+    1. A lower bound on a candidate's maximum of rho**2 is the maximum at
+       three grid frequencies, the first, the middle and the last.  The
        analytic optimum equioscillates at wt1, sqrt(wt1*wt2) and wt2, so
        near it the bound is tight.
-    2. The threshold U is the band maximum of the candidate with the
-       smallest bound: a real candidate's value, so at least the minimum.
-       The best value of earlier row blocks caps it.
-    3. A candidate with sqrt(bound) > U is strictly above the minimum and
-       is dropped; the band maximum is taken for the rest (on the certify
-       cases one for Versions II and III), and the first row-major argmin
-       among them is the result.
+    2. ``_pruned_first_argmin`` takes band maxima in ascending bound, a
+       chunk at a time, and stops at the first chunk whose bounds all lie
+       above the best band maximum so far; the candidates it skips are
+       strictly above the minimum.
+    3. Version III first bounds tiles of ``_ORACLE_TILE`` x
+       ``_ORACLE_TILE`` candidates.  rho**2 = (N1*N2)/(D1*D2) with N1, D1
+       depending only on (p, wt) and N2, D2 only on (q, wt), so the product
+       of each side's smallest N/D over the tile, maximized over the three
+       samples, is a candidate's bound up to rounding.  Shrinking it by
+       2**-40 covers that rounding, a few ulps, while every factor, product
+       and quotient is a normal double; where one is not, no tile is
+       skipped.  The cap U is the best band maximum in the tile with the
+       smallest bound.  A tile whose shrunk bound is a finite normal
+       double with square root above U is skipped, as is a tile wholly in
+       q < p, and the candidates of the other tiles are searched with cap
+       U.  On the certify cases one tile of 673 to 748 is kept.
 
     Each element is the same floating-point expression as the direct
     ``_rho_sq`` form, and ties are broken after the square root, as in
     the direct scan, so the result is bit for bit the one of the direct
-    per-candidate scan.  rho**2 = (N1*N2)/(D1*D2) with N1, D1 depending
-    only on (p, wt) and N2, D2 only on (q, wt), so the bounds come from
-    each side's factors at the three frequencies.  Memory stays
-    O(_ORACLE_BLOCK_ROWS * param_grid_size): no parameter x frequency
-    table and no parameter x parameter array is built.
+    per-candidate scan.  No parameter x frequency table and no parameter
+    x parameter array is built.
     """
     if param_grid_size < 16 or freq_grid_size < 16:
         raise ValueError("grid sizes must be >= 16")
@@ -590,24 +609,44 @@ def brute_force_minmax(
         vals = _rho_sq(wts, sigma1[i, None], sigma2[k, None], norm.nu1, norm.nu2)
         return np.sqrt(vals.max(axis=1))
 
-    rows = np.arange(p_grid.size)
-    if version == "III":
-        steps = range(0, rows.size, _ORACLE_BLOCK_ROWS)
-        blocks = [(rows[s : s + _ORACLE_BLOCK_ROWS, None], np.arange(q_grid.size)) for s in steps]
-    else:
-        blocks = [(rows, rows)]
-    best_val, best = math.inf, (0, 0)
-    for i, k in blocks:
+    def search(i, k, cap=math.inf):
         # rho**2 >= 0, so a zero start leaves the maximum over the samples.
-        bound = np.zeros(np.broadcast_shapes(i.shape, k.shape))
+        bound = np.zeros(i.shape)
         for c in range(samples.size):
             np.maximum(bound, (num1[i, c] * num2[k, c]) / (den1[i, c] * den2[k, c]), out=bound)
-        bound[q_grid[k] < p_grid[i]] = np.inf  # only q >= p is searched
-        i, k = np.broadcast_arrays(i, k)  # the candidate of each bound entry
-        found = _pruned_first_argmin(bound, lambda j: band_max(i.flat[j], k.flat[j]), best_val)
-        if found is not None and found[1] < best_val:
-            best_val, best = found[1], (i.flat[found[0]], k.flat[found[0]])
-    i, k = best
+        found = _pruned_first_argmin(bound, lambda j: band_max(i[j], k[j]), cap)
+        return (0, 0, math.inf) if found is None else (i[found[0]], k[found[0]], found[1])
+
+    if version != "III":
+        rows = np.arange(p_grid.size)
+        i, k, best_val = search(rows, rows)
+    else:
+        t = _ORACLE_TILE
+        starts_p, starts_q = np.arange(0, p_grid.size, t), np.arange(0, q_grid.size, t)
+        ratio1, ratio2 = num1 / den1, num2 / den2
+        low1 = np.minimum.reduceat(ratio1, starts_p)
+        low2 = np.minimum.reduceat(ratio2, starts_q)
+        tiles = (low1[:, None] * low2).max(axis=2) * (1.0 - 2.0**-40)
+        # Only q >= p is searched, so tiles wholly in q < p are never scanned.
+        below = np.maximum.reduceat(q_grid, starts_q) < np.minimum.reduceat(p_grid, starts_p)[:, None]
+        tiles[below] = np.inf
+
+        def candidates(a, b):  # row-major (i, k) with q >= p in tiles (a, b)
+            cell = np.arange(t * t)
+            i = (a[:, None] * t + cell // t).ravel()
+            k = (b[:, None] * t + cell % t).ravel()
+            flat = np.sort((i * q_grid.size + k)[(i < p_grid.size) & (k < q_grid.size)])
+            i, k = np.divmod(flat, q_grid.size)
+            keep = q_grid[k] >= p_grid[i]
+            return i[keep], k[keep]
+
+        cap = search(*candidates(*np.unravel_index([np.argmin(tiles)], tiles.shape)))[2]
+        normal = 2.0**-1020
+        spans = [(a.min() * b.min(), a.max() * b.max()) for a, b in ((num1, num2), (den1, den2))]
+        spans += [(r.min(), r.max()) for r in (ratio1, ratio2)]
+        margin_holds = all(normal <= lo and hi <= 1.0 / normal for lo, hi in spans)
+        above = margin_holds & (tiles >= normal) & (tiles < np.inf) & (np.sqrt(tiles) > cap)
+        i, k, best_val = search(*candidates(*np.nonzero(~(below | above))), cap)
     sides = [(float(sigma1[i]), float(p_grid[i])), (float(sigma2[k]), float(q_grid[k]))]
     if norm is not diff:
         sides.reverse()

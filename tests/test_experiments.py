@@ -956,6 +956,20 @@ def test_band_just_inside_where_rho_is_finite_runs_clean(tmp_path, argv, csv):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ratio", ["1e100", "1e300"])
+def test_version_i_on_the_lowest_band_at_huge_jumps_gives_a_finite_rho_star(tmp_path, ratio):
+    # At wt ~ 1e-75 Version I's factors of rho**2 are of order wt**2 and
+    # wt**2/ratio, so both products underflowed to 0 and rho* read 0/0 = nan.
+    out = tmp_path / "out"
+    argv = ["ratio-sweep", "--T", "1e150", "--dt", "1e149", "--ratios", ratio, "--versions", "I"]
+    assert main([*argv, "--out-dir", str(out)]) == 0
+    (row,) = _rows_as_dicts(str(out / "ratio_sweep.csv"))
+    # rho* depends on the band only through k_r = sqrt(2T/dt), here sqrt(20).
+    same_ratio = optimize("I", frequency_band_from_grid(10.0, 1.0), DiffusionPair(1.0, 1.0 / float(ratio)))
+    assert float(row["rho_star_analytic"]) == pytest.approx(same_ratio.rho_star, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("ratio", ["1e16", "1e100", "1e300"])
 def test_version_i_on_the_widest_band_runs_clean(tmp_path, ratio):
     # Version I's case data held rho at wt1 for p at the top of its center
@@ -979,6 +993,28 @@ def test_v3_bisection_finds_the_scan_root_at_huge_jumps(tmp_path, mu):
     sign_changes, scan_root, bis_root, spacing = summary[0]
     assert int(sign_changes) == 1
     assert abs(float(bis_root) - float(scan_root)) <= float(spacing)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("argv", [["--T", "5e40"], ["--T", "5", "--dt", "1e-40"], ["--T", "5e40", "--mu", "0.1"]])
+def test_root_below_the_scans_first_point_is_a_config_error(tmp_path, capsys, argv):
+    # Beyond a band ratio of about 1e20 the root lies between the lower end
+    # of the p range and the scan's first point, so no sign change is seen;
+    # that is a resolution limit of the scan, not a failed run.
+    out = tmp_path / "out"
+    assert main(["v3-root-scan", *argv, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: resolution limit of the root scan: ")
+    assert "below the scan's first point" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T", ["5e20", "5e30"])
+def test_root_scan_resolves_the_root_up_to_its_limit(tmp_path, T):
+    out = tmp_path / "out"
+    assert main(["v3-root-scan", "--T", T, "--out-dir", str(out)]) == 0
+    _, summary = _read_rows(str(out / "v3_root_scan_summary.csv"))
+    assert int(summary[0][0]) == 1
 
 
 @pytest.mark.filterwarnings("error")
