@@ -299,7 +299,7 @@ class ExperimentConfig:
                 f"mu must lie within [{1.0 / _V3_MU_MAX:.3g}, {_V3_MU_MAX:.3g}], got {self.mu!r}"
             )
         if self.scenario == "v3_root_scan":
-            _check_root_above_scan_start(self)
+            _check_root_scan_band(self)
         if self.scenario in _WR:
             errors = []
             for dx, dt in self._grids():
@@ -418,25 +418,38 @@ def _check_band(T: float, dt: float) -> None:
         )
 
 
-def _check_root_above_scan_start(cfg: ExperimentConfig) -> None:
-    """ConfigError when the Version III root lies below the root scan's first point.
+def _check_root_scan_band(cfg: ExperimentConfig) -> None:
+    """ConfigError when the root scan's bracket holds no root it can see.
 
-    The scan starts at the left end of ``v3_bracket``, V3_BRACKET_SHRINK of
-    the bracket above the lower end p_lo of the p range.  From a band
-    ratio of about 1e20 on the root lies between the two (the residual is
-    negative at p_lo and positive at the first point), so the scan sees no
-    sign change however many points it takes.
+    The scan runs over ``v3_bracket``, whose left end is V3_BRACKET_SHRINK
+    of the bracket above the lower end p_lo of the p range.  Two bands
+    defeat it:
+
+    - from a band ratio of about 1e20 on the root lies between p_lo and
+      the scan's first point (the residual is negative at p_lo and
+      positive at the first point), so the scan sees no sign change
+      however many points it takes;
+    - below a band ratio of about 4.2 the residual is positive at both
+      ends of the bracket and the scalar equation has no root
+      (``optimize_v3`` minimizes the endpoint level instead).
     """
     band = frequency_band_from_grid(cfg.T, cfg.dt)
     mu = max(cfg.mu, 1.0 / cfg.mu)
     (p_lo, _), _ = restriction_intervals_v3(band, mu)
-    start = v3_bracket(band, mu)[0]
+    start, end = v3_bracket(band, mu)
     k = math.frexp(mu)[1]
-    if v3_residual(p_lo, band, mu, k) < 0.0 < v3_residual(start, band, mu, k):
+    if not v3_residual(start, band, mu, k) > 0.0:
+        return
+    grid = f"T={cfg.T!r} and dt={cfg.dt!r} give the band ratio k_r={band.k_r:.3g}"
+    if v3_residual(p_lo, band, mu, k) < 0.0:
         raise ConfigError(
-            f"resolution limit of the root scan: T={cfg.T!r} and dt={cfg.dt!r} give the band "
-            f"ratio k_r={band.k_r:.3g}, which puts the root below the scan's first point "
-            f"p={start:.3g}"
+            f"resolution limit of the root scan: {grid}, which puts the root below the "
+            f"scan's first point p={start:.3g}"
+        )
+    if v3_residual(end, band, mu, k) > 0.0:
+        raise ConfigError(
+            f"band too narrow for the root scan: {grid}, for which the scalar equation "
+            f"has no root (its residual is positive at both ends of the bracket)"
         )
 
 

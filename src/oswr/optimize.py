@@ -403,8 +403,10 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     residual by the binary exponent of mu (``scale_exp`` of
     ``v3_equation_sides``), which keeps it normal at any double mu.  The
     scalar equation has a root whenever the band is wide enough (k_r of
-    roughly 6 and beyond); for narrower bands the endpoint level is
-    minimized along the constraint curve instead; on a degenerate band
+    roughly 6 and beyond); from k_r of about 1e20 on that root lies below
+    the bracket, and the bisection runs from the lower end of the p range
+    to the bracket's left end instead.  For narrower bands the endpoint
+    level is minimized along the constraint curve; on a degenerate band
     both ranges of ``restriction_intervals_v3`` shrink to the point
     minimizer.  Raises OptimizationError on inconsistent residual signs or
     a stalled bisection.
@@ -431,6 +433,19 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     fa = v3_residual(a, band, mu, k)
     fb = v3_residual(b, band, mu, k)
     history: list[float] = [fa, fb]
+    below = False
+    if fa > 0.0 and fb > 0.0:
+        # From k_r of about 1e20 on the root lies below the bracket's left
+        # end, between it and the lower end p_lo of the p range, where the
+        # residual is negative again; bisect there.  That range spans up to
+        # 70 decades, so it is halved in log scale while its ends are more
+        # than a factor 2 apart.
+        (p_lo, _), _ = restriction_intervals_v3(band, mu)
+        f_lo = v3_residual(p_lo, band, mu, k)
+        if f_lo < 0.0:
+            history.append(f_lo)
+            a, b, fa, fb = p_lo, a, f_lo, fa
+            below = True
     if fa == 0.0:
         root = a
     elif fb == 0.0:
@@ -451,7 +466,7 @@ def optimize_v3(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     else:
         root = None
         for _ in range(V3_MAX_BISECTIONS):
-            mid = 0.5 * (a + b)
+            mid = math.sqrt(a) * math.sqrt(b) if below and b > 2.0 * a else 0.5 * (a + b)
             if mid <= a or mid >= b:
                 root = mid  # a and b are adjacent doubles
                 break

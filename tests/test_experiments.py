@@ -515,7 +515,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["run", bad, "--out-dir", str(tmp_path / "x")]) == 1
     assert main(["run", str(tmp_path / "missing.txt"), "--out-dir", str(tmp_path / "x")]) == 1
     assert main(["ratio-sweep"]) == 1  # out_dir is mandatory
-    # a scan without a sign change is a runtime failure: exit 2
+    # a band too narrow for the scan to find a root is a configuration
+    # error (it was a runtime failure, exit 2, after writing both CSVs)
     assert (
         main(
             [
@@ -530,8 +531,9 @@ def test_cli_exit_codes(tmp_path):
                 "2",
             ]
         )
-        == 2
+        == 1
     )
+    assert not (tmp_path / "y").exists()
 
 
 def test_cli_scenario_subcommand_with_flags(tmp_path):
@@ -1009,7 +1011,20 @@ def test_root_below_the_scans_first_point_is_a_config_error(tmp_path, capsys, ar
     assert not out.exists()
 
 
-@pytest.mark.parametrize("T", ["5e20", "5e30"])
+@pytest.mark.parametrize("T", ["0.05", "0.1", "0.2"])
+def test_root_scan_of_a_band_too_narrow_for_a_root_is_a_config_error(tmp_path, capsys, T):
+    # Below a band ratio of about 4.2 the residual is positive across the
+    # bracket, so the scalar equation has no root to scan; the scan wrote
+    # both CSVs and then exited 2 ("found 0").
+    out = tmp_path / "out"
+    assert main(["v3-root-scan", "--T", T, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: band too narrow for the root scan: ")
+    assert "has no root" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("T", ["5e20", "5e30", "0.25"])
 def test_root_scan_resolves_the_root_up_to_its_limit(tmp_path, T):
     out = tmp_path / "out"
     assert main(["v3-root-scan", "--T", T, "--out-dir", str(out)]) == 0
@@ -1184,15 +1199,16 @@ def test_subnormal_second_coefficient_runs_clean(tmp_path, command, csv):
     [
         ("--u0", "1e308", "iterate 1 is not finite"),
         ("--g-left", "1e307", "iterate 1 is not finite"),
-        ("--u0", "1.7e308", "solution is not finite"),
+        ("--u0", "1.7e308", "iterate 1 is not finite"),
     ],
 )
 def test_data_that_overflow_the_arithmetic_are_a_runtime_error(
     tmp_path, capsys, flag, value, message
 ):
     # The values are finite, so the configuration is valid, but the Robin
-    # data sigma * u + flux they give overflow (1.7e308 overflows the
-    # monolithic solve itself); each ended in a ValueError traceback.
+    # data sigma * u + flux they give overflow; each ended in a ValueError
+    # traceback.  (1.7e308 overflowed the stepped monolithic solve; the
+    # blocked one stays finite, and the first iterate overflows.)
     out = tmp_path / "out"
     argv = ["ratio-sweep", f"{flag}={value}", "--ratios", "10", "--versions", "I"]
     assert main([*argv, "--out-dir", str(out)]) == 2

@@ -602,3 +602,23 @@ def test_version_i_closed_forms_are_the_same_doubles_where_they_stay_finite(band
 def test_restriction_interval_v3_keeps_its_lower_end_at_huge_jumps():
     (p_lo, _), _ = restriction_intervals_v3(REF_BAND, 1e100)
     assert p_lo == pytest.approx(REF_BAND.wt1, rel=1e-15)
+
+
+@pytest.mark.parametrize(
+    "T, dt", [(5e20, 1.0 / 40.0), (5e30, 1.0 / 40.0), (5e40, 1.0 / 40.0), (1e100, 1.0 / 40.0),
+              (1e200, 1.0 / 40.0), (2e150, 1e-150)],
+)
+@pytest.mark.parametrize("diff", [DiffusionPair(10.0, 1.0), DiffusionPair(1.0, 1e4)])
+def test_optimize_v3_certifies_on_the_widest_bands(T, dt, diff):
+    # From k_r of about 1e20 on the root lies below the left end of
+    # ``v3_bracket``, where the residual is already positive; the narrow-band
+    # fallback then gave rho* 0.9999995 at T = 5e40 where the oracle finds
+    # 0.31623.  On the widest band (k_r = 2e150) the root sits 67 decades
+    # below the bracket.
+    band = frequency_band_from_grid(T, dt)
+    res = optimize_v3(band, diff)
+    _, oracle_val = brute_force_minmax(band, diff, "III", 512, 128)
+    assert max_rho_over_band(res.params, diff, band)[1] <= oracle_val * (1.0 + 1e-9)
+    mu = diff.normalized().mu
+    assert res.bracket == v3_bracket(band, mu)
+    assert res.params.p * res.params.q == pytest.approx(2.0 * band.wt1 * band.wt2, rel=1e-12)
