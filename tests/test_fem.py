@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from stepping import stepped_solve
 
 from oswr.fem import (
     DiffusionProfile,
@@ -337,6 +338,50 @@ def test_robin_penalty_limit_is_dirichlet():
     assert np.abs(field.values[1:, -1] - target).max() <= 1e-6
 
 
+# Largest difference of a Robin solve from the loop, relative to the largest
+# |u|: measured 7.1e-15 over the grid below (ratio 1e8, sigma 1e12).
+ROBIN_REL_TOL = 5e-14
+
+
+def _moving_data_problem(ratio=20.0, lumped_mass=False, with_source=True):
+    return HeatProblem(
+        DiffusionProfile((1.0, 1.0 / ratio), (0.375,)),
+        (lambda x, t: np.sin(3.0 * x) * (1.0 + t)) if with_source else None,
+        lambda x: 5.0 + x,
+        lambda t: 2.0 * t,
+        lambda t: 3.0 - t,
+        1.0,
+        1.0 / 32.0,
+        lumped_mass,
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.3, 12.0, 1e12])
+@pytest.mark.parametrize("sides", [("left",), ("right",), ("left", "right")])
+@pytest.mark.parametrize("with_source", [False, True])
+@pytest.mark.parametrize("lumped_mass", [False, True])
+@pytest.mark.parametrize("ratio", [10.0, 1e2, 1e4, 1e8])
+def test_robin_solve_matches_stepping(ratio, lumped_mass, with_source, sides, sigma):
+    problem = _moving_data_problem(ratio, lumped_mass, with_source)
+    mesh = Mesh1D.uniform(0.0, 0.75, 24)
+    times = problem.time_step * np.arange(1, problem.n_steps + 1)
+    target = {"left": 4.0 + np.sin(5.0 * times), "right": 1.0 + times**2}
+    ends = [
+        RobinBoundaryData(side, sigma, sigma * target[side] + 1.0) if side in sides else g
+        for side, g in (("left", problem.bc_left), ("right", problem.bc_right))
+    ]
+    field = solve_subdomain_robin(problem, mesh, *ends)
+    expected = stepped_solve(problem, mesh, *ends).values
+    assert np.abs(field.values - expected).max() <= ROBIN_REL_TOL * np.abs(expected).max()
+
+
+def test_robin_solve_with_dirichlet_ends_is_the_monolithic_solve():
+    problem = _moving_data_problem()
+    mesh = Mesh1D.uniform(0.0, 0.75, 24)
+    field = solve_subdomain_robin(problem, mesh, problem.bc_left, problem.bc_right)
+    assert np.array_equal(field.values, solve_monolithic(problem, mesh).values)
+
+
 # -------------------------------------------------------- impulse responses
 
 
@@ -355,7 +400,7 @@ def _stepped_impulse_responses(problem, mesh, sigmas):
                 else 0.0
                 for side in ("left", "right")
             ]
-            responses[hit] = solve_subdomain_robin(quiet, mesh, *ends).values[1:]
+            responses[hit] = stepped_solve(quiet, mesh, *ends).values[1:]
     return responses
 
 

@@ -1,26 +1,22 @@
 """The monolithic solve against the backward-Euler loop it replaced.
 
 ``solve_monolithic`` once stepped level by level with one tridiagonal
-solve per step; that loop is kept here as the reference.  It now runs
-u_k = P u_{k-1} + a_k in blocks of levels (``fem._affine_levels``), whose
-rounding differs from the loop's, so the two agree to a tolerance set by
-measurement rather than bit for bit.
+solve per step; that loop is the reference (``stepping.stepped_solve``
+with the problem's Dirichlet data).  It now runs u_k = P u_{k-1} + a_k in
+blocks of levels (``fem._affine_levels``), whose rounding differs from the
+loop's, so the two agree to a tolerance set by measurement rather than
+bit for bit.
 """
 
 import numpy as np
 import pytest
+from stepping import stepped_solve
 
 from oswr.fem import (
     DiffusionProfile,
     HeatProblem,
     Mesh1D,
     NonFiniteSolution,
-    SpaceTimeField,
-    TridiagonalSolver,
-    _apply_dirichlet_row,
-    _as_time_function,
-    _system_matrix,
-    assemble_operators,
     _affine_levels,
     solve_monolithic,
 )
@@ -32,32 +28,6 @@ REL_TOL = 5e-14
 
 def _assert_close(values, expected):
     assert np.abs(values - expected).max() <= REL_TOL * np.abs(expected).max()
-
-
-def _reference_monolithic(problem, mesh):
-    """The former loop of solve_monolithic, Dirichlet rows at both ends."""
-    mass, stiffness = assemble_operators(mesh, problem.diffusion, problem.lumped_mass)
-    dt = problem.time_step
-    A = _system_matrix(mass, stiffness, dt)
-    _apply_dirichlet_row(A, "left")
-    _apply_dirichlet_row(A, "right")
-    solver = TridiagonalSolver(A)
-    g_left = _as_time_function(problem.bc_left)
-    g_right = _as_time_function(problem.bc_right)
-    u = problem.initial_values(mesh)
-    values = np.empty((problem.n_steps + 1, mesh.n_nodes))
-    values[0] = u
-    for k in range(1, problem.n_steps + 1):
-        t = k * dt
-        rhs = mass.matvec(u)
-        f = problem.source_nodal(mesh, t)
-        if f is not None:
-            rhs += dt * mass.matvec(f)
-        rhs[0] = g_left(t)
-        rhs[-1] = g_right(t)
-        u = solver.solve(rhs)
-        values[k] = u
-    return SpaceTimeField(mesh, dt, values)
 
 
 @pytest.mark.parametrize("n_elements", [8, 40, 100])
@@ -76,7 +46,8 @@ def test_two_layers_equal_the_old_loop(ratio, lumped_mass, n_elements):
         lumped_mass,
     )
     field = solve_monolithic(problem, mesh)
-    _assert_close(field.values, _reference_monolithic(problem, mesh).values)
+    expected = stepped_solve(problem, mesh, problem.bc_left, problem.bc_right)
+    _assert_close(field.values, expected.values)
 
 
 def test_three_layers_with_source_and_time_dependent_data_equal_the_old_loop():
@@ -91,7 +62,8 @@ def test_three_layers_with_source_and_time_dependent_data_equal_the_old_loop():
         1.0 / 32.0,
     )
     field = solve_monolithic(problem, mesh)
-    _assert_close(field.values, _reference_monolithic(problem, mesh).values)
+    expected = stepped_solve(problem, mesh, problem.bc_left, problem.bc_right)
+    _assert_close(field.values, expected.values)
 
 
 

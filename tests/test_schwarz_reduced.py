@@ -15,6 +15,7 @@ per iteration, one flux recovery per interface at most.
 
 import numpy as np
 import pytest
+from stepping import stepped_solve
 
 import oswr.fem as fem
 import oswr.schwarz as schwarz
@@ -85,6 +86,7 @@ def _outward_flux(problem, mesh, values, end):
 def _stepping_reference(problem, deco, params, init, sweep, max_iter, tol, reference):
     """The iteration before the reduction: every iterate steps every subdomain.
 
+    Each subdomain solve is the level-by-level loop of ``stepped_solve``.
     Per interface it keeps the trace and the variationally recovered
     outward flux of both neighbors ("left" is the subdomain left of the
     interface, at its right end) and builds each Robin series from them.
@@ -128,7 +130,7 @@ def _stepping_reference(problem, deco, params, init, sweep, max_iter, tol, refer
                 right = RobinBoundaryData(
                     "right", sigma, sigma * nb["right_trace"] - nb["right_flux"]
                 )
-            field = solve_subdomain_robin(problem, mesh, left, right)
+            field = stepped_solve(problem, mesh, left, right)
             fields.append(field)
             if j > 0:
                 state[j - 1]["right_trace"] = field.values[1:, 0]
