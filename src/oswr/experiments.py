@@ -24,12 +24,12 @@ import math
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
 from .fem import DiffusionProfile, HeatProblem, Mesh1D, SpaceTimeField, solve_monolithic
-from .frequency import DiffusionPair, frequency_band_from_grid, rho
+from .frequency import DiffusionPair, TransmissionParams, frequency_band_from_grid, rho
 from .optimize import (
     VERSIONS,
     OptimizationError,
@@ -472,78 +472,74 @@ def _fit_grid(cfg: ExperimentConfig, dx: float, dt: float) -> tuple[Mesh1D, Deco
         raise ConfigError(f"dx={dx} does not fit the interfaces: {exc}") from None
 
 
-@dataclass
-class _CaseResult:
-    params: object = None
-    rho_star: float | None = None
-    iterations: int | None = None
-    final_error: float | None = None
-    errors: tuple[float, ...] = ()
-    field: object = None
-    error: str = ""
+@dataclass(frozen=True)
+class _Case:
+    """One version's waveform-relaxation run on one (geometry, grid).
 
-
-def _run_layered_case(
-    cfg: ExperimentConfig,
-    version: str,
-    deco: Decomposition,
-    problem: HeatProblem,
-    reference: SpaceTimeField,
-) -> _CaseResult:
-    """One version's waveform-relaxation run on a solved problem.
-
-    A case that diverges or defeats the optimizer is recorded in
-    ``error``; any other exception is a bug and propagates.
+    ``params`` are the first interface's, ``rho_star`` the largest over
+    the interfaces.  ``iterations`` is set exactly when the run converged;
+    ``error`` says why a case did not.  ``merge`` forms the run's merged
+    field on request (``oswr_iterate``); it is None when no iteration
+    finished.
     """
-    out = _CaseResult()
-    try:
-        band = frequency_band_from_grid(cfg.T, problem.time_step)
-        pairs = interface_diffusion_pairs(problem, deco)
-        results = [optimize(version, band, pair) for pair in pairs]
-        out.params = results[0].params
-        out.rho_star = max(r.rho_star for r in results)
-        history, combined = oswr_iterate(
-            problem,
-            deco,
-            [r.params for r in results],
-            tol=cfg.tolerance,
-            max_iter=cfg.max_iter,
-            init=cfg.init,
-            sweep=cfg.sweep,
-            reference=reference,
-        )
-        out.errors = history.errors
-        out.final_error = history.errors[-1]
-        out.field = combined
-        if history.converged:
-            out.iterations = history.iterations_to_tolerance
-        else:
-            out.error = f"did not converge within {cfg.max_iter} iterations"
-    except (IterationDiverged, OptimizationError) as exc:
-        out.error = str(exc)
-    return out
+
+    version: str
+    params: TransmissionParams | None = None
+    rho_star: float | None = None
+    errors: tuple[float, ...] = ()
+    iterations: int | None = None
+    error: str = ""
+    merge: Callable[[], SpaceTimeField] | None = None
+
+    @property
+    def final_error(self) -> float | None:
+        return self.errors[-1] if self.errors else None
 
 
-def _run_versions(
+def _cases(
     cfg: ExperimentConfig, layers: tuple[float, ...], dx: float, dt: float
-) -> Iterator[tuple[str, _CaseResult]]:
-    """(version, case) for every configured version on one (geometry, grid), in order.
+) -> Iterator[_Case]:
+    """One case per configured version on one (geometry, grid), in order.
 
     The monolithic reference is solved once and shared by the versions;
-    it lives only while the cases are generated.  A case that does not fit
-    its grid gives every version its ``ConfigError`` text.
+    it lives only while the cases are generated.  A grid that does not fit
+    gives every version its ``ConfigError`` text; a case that diverges or
+    defeats the optimizer gives its own.  Any other exception is a bug and
+    propagates.
     """
     try:
         mesh, deco = _fit_grid(cfg, dx, dt)
     except ConfigError as exc:
         for version in cfg.versions:
-            yield version, _CaseResult(error=str(exc))
+            yield _Case(version, error=str(exc))
         return
     diffusion = DiffusionProfile(layers, cfg.interfaces)
     problem = HeatProblem(diffusion, None, cfg.u0, cfg.g_left, cfg.g_right, cfg.T, dt)
     reference = solve_monolithic(problem, mesh)
+    band = frequency_band_from_grid(cfg.T, problem.time_step)
+    pairs = interface_diffusion_pairs(problem, deco)
     for version in cfg.versions:
-        yield version, _run_layered_case(cfg, version, deco, problem, reference)
+        params = rho_star = None
+        try:
+            results = [optimize(version, band, pair) for pair in pairs]
+            params, rho_star = results[0].params, max(r.rho_star for r in results)
+            history, merge = oswr_iterate(
+                problem,
+                deco,
+                [r.params for r in results],
+                tol=cfg.tolerance,
+                max_iter=cfg.max_iter,
+                init=cfg.init,
+                sweep=cfg.sweep,
+                reference=reference,
+            )
+        except (IterationDiverged, OptimizationError) as exc:
+            yield _Case(version, params, rho_star, error=str(exc))
+            continue
+        iterations = history.iterations_to_tolerance
+        error = "" if history.converged else f"did not converge within {cfg.max_iter} iterations"
+        yield _Case(version, params, rho_star, history.errors, iterations, error, merge)
+        del merge  # how long a case's spectra live is the caller's choice
 
 
 def run_ratio_sweep(cfg: ExperimentConfig) -> list[str]:
@@ -562,22 +558,12 @@ def run_ratio_sweep(cfg: ExperimentConfig) -> list[str]:
     ]
     rows = []
     for ratio in cfg.effective_ratios():
-        layers = (cfg.nu1, cfg.nu1 / ratio)
-        for version, case in _run_versions(cfg, layers, cfg.dx, cfg.dt):
+        for case in _cases(cfg, (cfg.nu1, cfg.nu1 / ratio), cfg.dx, cfg.dt):
             p = case.params
+            coefficients = (p.p, p.q, p.sigma1, p.sigma2) if p else (None,) * 4
             rows.append(
-                [
-                    ratio,
-                    version,
-                    p.p if p else None,
-                    p.q if p else None,
-                    p.sigma1 if p else None,
-                    p.sigma2 if p else None,
-                    case.rho_star,
-                    case.iterations,
-                    case.final_error,
-                    case.error,
-                ]
+                [ratio, case.version, *coefficients, case.rho_star, case.iterations,
+                 case.final_error, case.error]
             )
     return [_write_csv(cfg, "ratio_sweep.csv", header, rows)]
 
@@ -594,11 +580,10 @@ def _run_grid_sweep(cfg: ExperimentConfig, kind: str) -> list[str]:
         by_value = []
         for value, (dx, dt) in zip(values, cfg._grids()):
             per_version = []
-            for version, case in _run_versions(cfg, layers, dx, dt):
-                row = [ratio, version, value, case.iterations, case.rho_star, case.error]
-                name = f"{kind}_sweep_history_ratio{ratio:g}_v{version}_{kind}{value:g}.csv"
+            for case in _cases(cfg, layers, dx, dt):
+                row = [ratio, case.version, value, case.iterations, case.rho_star, case.error]
+                name = f"{kind}_sweep_history_ratio{ratio:g}_v{case.version}_{kind}{value:g}.csv"
                 path = _write_csv(cfg, name, ["iteration", "error"], enumerate(case.errors, 1))
-                del case  # frees the merged field before the next version runs
                 per_version.append((row, path))
             by_value.append(per_version)
         for per_value in zip(*by_value):
@@ -738,19 +723,21 @@ print("wrote {png}")
 def _run_layered_scenario(cfg: ExperimentConfig, prefix: str) -> list[str]:
     summary_rows = []
     paths = []
-    dump = None  # the field written: Version III's if it converged, else the first converged
-    for version, case in _run_versions(cfg, cfg.nu_layers, cfg.dx, cfg.dt):
-        summary_rows.append([version, case.iterations, case.final_error, case.error])
-        name = f"{prefix}_history_v{version}.csv"
+    written = None  # the case whose field is written: III if converged, else the first converged
+    for case in _cases(cfg, cfg.nu_layers, cfg.dx, cfg.dt):
+        summary_rows.append([case.version, case.iterations, case.final_error, case.error])
+        name = f"{prefix}_history_v{case.version}.csv"
         paths.append(_write_csv(cfg, name, ["iteration", "error"], enumerate(case.errors, 1)))
-        if case.field is not None and not case.error and (dump is None or version == "III"):
-            dump = case.field
+        if case.iterations is not None and (written is None or case.version == "III"):
+            written = case
+        del case  # only the written case's spectra outlive its turn
     header = ["version", "iterations", "final_error", "error"]
     paths.insert(0, _write_csv(cfg, f"{prefix}_summary.csv", header, summary_rows))
-    if dump is None:
+    if written is None:
         raise ScenarioError("no version converged; no field to write")
+    merged = written.merge()
     field_name = f"{prefix}_field.csv"
-    lines = _field_chunks(dump.mesh.nodes, dump.times, dump.values)
+    lines = _field_chunks(merged.mesh.nodes, merged.times, merged.values)
     script = _FIELD_PLOT_SCRIPT.format(name=field_name, png=f"{prefix}_field.png")
     return [
         *paths,

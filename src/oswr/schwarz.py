@@ -22,12 +22,13 @@ d_j = H_j (g - g*), and the exchange keeps its form,
 
     (g - g*)_out = (sigma + sigma') * d_j,interface - (g - g*)_in.
 
-The monolithic reference u_ref is only the yardstick and the base of the
-merged field.  A case steps nothing in time: the impulse responses come
-from ``fem.robin_impulse_responses``, which powers each subdomain's
-one-step propagator by doubling, and an iteration is one FFT convolution
-per subdomain.  The exact discrete fixed point of the iteration is the
-monolithic solution, so the per-iteration error
+The monolithic reference u_ref is only the yardstick, and the base of
+the merged field, which is formed only on request.  A case steps nothing
+in time: the impulse responses come from ``fem.robin_impulse_responses``,
+which powers each subdomain's one-step propagator by doubling, and an
+iteration is one FFT convolution per subdomain.  The exact discrete fixed
+point of the iteration is the monolithic solution, so the per-iteration
+error
 
     e_k = max over subdomains, nodes and time levels of |d_j|
 
@@ -40,8 +41,10 @@ the maximum, so e_k is that of the whole field bit for bit.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -283,8 +286,12 @@ def oswr_iterate(
     init: str = "zero",
     sweep: str = "gauss_seidel",
     reference: SpaceTimeField | None = None,
-) -> tuple[ConvergenceHistory, SpaceTimeField]:
+) -> tuple[ConvergenceHistory, Callable[[], SpaceTimeField]]:
     """Run the Schwarz waveform-relaxation iteration to tolerance.
+
+    Returns the error history and a function of no arguments that forms
+    the merged field of the last iterate: the monolithic solution plus each
+    subdomain's deviation, averaged at the interface nodes.
 
     ``interface_params`` holds one TransmissionParams per interface; the
     subdomain left of interface i gets a Robin condition with sigma1 of
@@ -305,8 +312,9 @@ def oswr_iterate(
     far in the iteration; a row whose bound is not finite is never
     skipped.  numpy's ``irfft`` of a subset of rows equals those rows of
     the whole batch, so the interface values and the error are those of
-    the whole field bit for bit.  The merged field is formed once, from
-    each subdomain's last spectrum.
+    the whole field bit for bit.  Only the merge function transforms whole
+    deviations, from each subdomain's last spectrum, and only when called;
+    it keeps those spectra alive as long as it lives.
 
     Stops once the error against the monolithic solution drops to ``tol``.
     Raises IterationDiverged if the error exceeds 1e6 times the first
@@ -343,7 +351,7 @@ def oswr_iterate(
 
     errors: list[float] = []
     iterations = None
-    # Each subdomain's last series spectrum, for the merged field.
+    # Each subdomain's last series spectrum, for the merge.
     g_hats: list[np.ndarray] = [np.empty(0)] * n_sub
 
     for k in range(1, max_iter + 1):
@@ -384,22 +392,24 @@ def oswr_iterate(
                 f"error {errors[0]} at iteration {k}"
             )
 
-    deviations = [response.rows(g_hat) for response, g_hat in zip(responses, g_hats)]
-    # The spectra are not needed for merging; free them before it allocates.
-    del responses
-    combined = _combine_fields(deviations, decomposition, reference)
+    for response in responses:
+        del response._weights  # the merge keeps the responses; it reads only their spectra
     history = ConvergenceHistory(tuple(errors), tol, iterations, max_iter)
-    return history, combined
+    return history, functools.partial(_combine_fields, responses, g_hats, decomposition, reference)
 
 
 def _combine_fields(
-    deviations, decomposition: Decomposition, reference: SpaceTimeField
+    responses, g_hats, decomposition: Decomposition, reference: SpaceTimeField
 ) -> SpaceTimeField:
-    """The reference plus the subdomain deviations, averaged at interface nodes."""
+    """The reference plus each subdomain's deviation, averaged at interface nodes.
+
+    Subdomain j's deviation is ``responses[j]`` applied to its spectrum
+    ``g_hats[j]``, transformed in whole here and nowhere else.
+    """
     total = np.zeros_like(reference.values[1:])
     weight = np.zeros(decomposition.global_mesh.n_nodes)
-    for dev, (lo, hi) in zip(deviations, decomposition.node_ranges):
-        total[:, lo:hi] += dev.T
+    for response, g_hat, (lo, hi) in zip(responses, g_hats, decomposition.node_ranges):
+        total[:, lo:hi] += response.rows(g_hat).T
         weight[lo:hi] += 1.0
     values = reference.values.copy()
     values[1:] += total / weight

@@ -236,11 +236,11 @@ def test_criterion_08_fixed_point_equivalence():
     pair = DiffusionPair(1.0, 0.25)
     for version in ("I", "II", "III"):
         params = optimize(version, band, pair).params
-        history, combined = oswr_iterate(
+        history, merge = oswr_iterate(
             problem, deco, [params], tol=1e-10, max_iter=300, reference=reference
         )
         assert history.converged, version
-        assert np.abs(combined.values - reference.values).max() <= 1e-9
+        assert np.abs(merge().values - reference.values).max() <= 1e-9
     _report(8, "fixed-point equivalence")
 
 
@@ -316,11 +316,11 @@ def test_criterion_11_three_layer_stack():
     counts = {}
     for version in ("I", "II", "III"):
         params = [optimize(version, REF_BAND, p).params for p in pairs]
-        history, combined = oswr_iterate(
+        history, merge = oswr_iterate(
             problem, deco, params, tol=1e-8, max_iter=1000, reference=reference
         )
         assert history.converged, version
         counts[version] = history.iterations_to_tolerance
-        assert np.abs(combined.values - reference.values).max() <= 1e-8
+        assert np.abs(merge().values - reference.values).max() <= 1e-8
     assert counts["III"] <= counts["II"] < counts["I"]
     _report(11, "three-layer stack scenario")

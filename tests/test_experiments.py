@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oswr import schwarz
 from oswr.cli import _SCENARIO_COMMANDS, build_parser, main
 from oswr.experiments import (
     CONFIG_KEYS,
@@ -22,12 +23,14 @@ from oswr.experiments import (
     _fmt,
     parse_config,
     run_dt_sweep,
+    run_custom,
     run_dx_sweep,
     run_ratio_sweep,
     run_rho_curves,
     run_scenario,
     run_tps_three_layer,
     run_v3_root_scan,
+    tps_defaults,
 )
 from oswr.fem import DiffusionProfile, HeatProblem, Mesh1D, solve_monolithic
 from oswr.frequency import DiffusionPair, frequency_band_from_grid, rho
@@ -190,11 +193,13 @@ def _text(header, lines):
     return "".join(f"{line}\n" for line in [header, *lines]).encode("utf-8")
 
 
-def test_artifacts_hold_the_values_the_library_computes(tmp_path):
+@pytest.mark.parametrize("versions", [("II", "III"), ("III", "II"), ("II", "I")], ids="-".join)
+def test_artifacts_hold_the_values_the_library_computes(tmp_path, versions):
     # Each line's text, rebuilt from the library's own results: every error
-    # history, the merged field of the converged Version III iterate in
-    # time-major order, and rho over the band grid.
-    cfg = _small_cfg(tmp_path, scenario="custom", nu_layers=(1.0, 0.1), versions=("II", "III"))
+    # history, and in time-major order the merged field of the version the
+    # layered scenario writes, Version III if it converged, else the first
+    # version that converged.
+    cfg = _small_cfg(tmp_path, scenario="custom", nu_layers=(1.0, 0.1), versions=versions)
     run_scenario(cfg)
     out = tmp_path / "out"
     mesh = Mesh1D.uniform(0.0, 1.0, 8)
@@ -204,9 +209,9 @@ def test_artifacts_hold_the_values_the_library_computes(tmp_path):
     reference = solve_monolithic(problem, mesh)
     band = frequency_band_from_grid(cfg.T, cfg.dt)
     pairs = interface_diffusion_pairs(problem, deco)
-    fields = {}
+    merges = {}
     for version in cfg.versions:
-        history, fields[version] = oswr_iterate(
+        history, merges[version] = oswr_iterate(
             problem, deco, [optimize(version, band, pair).params for pair in pairs],
             tol=cfg.tolerance, max_iter=cfg.max_iter, init=cfg.init, sweep=cfg.sweep,
             reference=reference,
@@ -215,7 +220,8 @@ def test_artifacts_hold_the_values_the_library_computes(tmp_path):
         assert (out / f"custom_history_v{version}.csv").read_bytes() == _text(
             "iteration,error", (f"{k},{e:.17g}" for k, e in enumerate(history.errors, 1))
         )
-    merged = fields["III"]
+    written = "III" if "III" in versions else versions[0]
+    merged = merges[written]()
     assert (out / "custom_field.csv").read_bytes() == _text(
         "x,t,u",
         (
@@ -224,7 +230,13 @@ def test_artifacts_hold_the_values_the_library_computes(tmp_path):
             for x, u in zip(merged.mesh.nodes, values)
         ),
     )
+    # The other version's field differs, so the bytes pin which one is written.
+    (other,) = set(versions) - {written}
+    assert not np.array_equal(merges[other]().values, merged.values)
 
+
+def test_rho_curves_artifact_holds_the_values_the_library_computes(tmp_path):
+    # Each line's text, rebuilt from rho over the band grid.
     cfg = ExperimentConfig(
         scenario="rho_curves", ratios=(100.0,), rho_points=500, out_dir=str(tmp_path / "rho")
     )
@@ -440,6 +452,56 @@ def test_tps_scenario_outputs(tmp_path):
     assert final[1.0] == pytest.approx(50.0)
     assert abs(final[0.01]) < 1.0
     assert final[0.99] > 40.0
+
+
+def test_only_the_layered_scenarios_merge_a_field(tmp_path, monkeypatch):
+    # The sweeps write counts and histories, never a field, so they must not
+    # form one; a layered run forms exactly the one it writes.
+    combine = schwarz._combine_fields
+
+    def refuse(*args):
+        raise AssertionError("a sweep formed a merged field")
+
+    monkeypatch.setattr("oswr.schwarz._combine_fields", refuse)
+    sweeps = {
+        "ratio_sweep": {},
+        "dt_sweep": {"dts": (1.0 / 4.0, 1.0 / 8.0)},
+        "dx_sweep": {"dxs": (1.0 / 8.0, 1.0 / 16.0)},
+    }
+    for scenario, extra in sweeps.items():
+        out_dir = str(tmp_path / scenario)
+        run_scenario(
+            _small_cfg(tmp_path, scenario=scenario, versions=VERSIONS, out_dir=out_dir, **extra)
+        )
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        return combine(*args)
+
+    monkeypatch.setattr("oswr.schwarz._combine_fields", counting)
+    cfg = _small_cfg(tmp_path, scenario="custom", nu_layers=(1.0, 0.1), versions=VERSIONS)
+    run_custom(cfg)
+    assert len(calls) == 1
+
+
+def test_no_converged_version_is_a_runtime_error_after_the_histories(tmp_path, capsys):
+    # The summary and every history are written for inspection; with no
+    # converged version there is no field to write, and the CLI exits 2.
+    out = tmp_path / "out"
+    assert main(["tps", "--max-iter", "1", "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime error: no version converged; no field to write\n"
+    histories = [f"tps_history_v{version}.csv" for version in VERSIONS]
+    assert sorted(p.name for p in out.iterdir()) == sorted(["tps_summary.csv", *histories])
+    rows = _rows_as_dicts(str(out / "tps_summary.csv"))
+    assert [row["version"] for row in rows] == list(VERSIONS)
+    for row, name in zip(rows, histories):
+        assert row["iterations"] == ""
+        assert row["error"] == "did not converge within 1 iterations"
+        assert len(_read_rows(str(out / name))[1]) == 1
+    with pytest.raises(ScenarioError, match="^no version converged; no field to write$"):
+        run_tps_three_layer(tps_defaults(ExperimentConfig(max_iter=1, out_dir=str(out))))
 
 
 def test_one_monolithic_reference_per_problem(tmp_path, monkeypatch):

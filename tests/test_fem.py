@@ -152,11 +152,11 @@ def test_lumped_mass_option():
     reference = solve_monolithic(problem, mesh)
     band = frequency_band_from_grid(1.0, 0.125)
     params = optimize_v2(band, DiffusionPair(1.0, 0.25)).params
-    history, combined = oswr_iterate(
+    history, merge = oswr_iterate(
         problem, decompose(mesh, [0.5]), [params], tol=1e-10, max_iter=100, reference=reference
     )
     assert history.converged
-    assert np.abs(combined.values - reference.values).max() <= 1e-10
+    assert np.abs(merge().values - reference.values).max() <= 1e-10
 
 
 def test_tridiagonal_solver_matches_dense():

@@ -119,14 +119,16 @@ def _drawn_case(rng):
 
 def test_drawn_cases_equal_the_unpruned_evaluation(rng, monkeypatch):
     cases = [_drawn_case(rng) for _ in range(6)]
-    pruned = [
-        oswr_iterate(problem, deco, params, max_iter=60, reference=reference, **options)
-        for problem, deco, params, reference, options in cases
-    ]
+    pruned = []
+    for problem, deco, params, reference, options in cases:
+        history, merge = oswr_iterate(
+            problem, deco, params, max_iter=60, reference=reference, **options
+        )
+        pruned.append((history, merge()))
     _unpruned(monkeypatch)
     for (problem, deco, params, reference, options), (history, field) in zip(cases, pruned):
-        whole_history, whole_field = oswr_iterate(
+        whole_history, whole_merge = oswr_iterate(
             problem, deco, params, max_iter=60, reference=reference, **options
         )
         assert history.errors == whole_history.errors
-        assert np.array_equal(field.values, whole_field.values)
+        assert np.array_equal(field.values, whole_merge().values)

@@ -108,7 +108,7 @@ def test_desk_scale_all_modes_reach_fixed_point():
     params = optimize_v2(band, DiffusionPair(1.0, 0.25)).params
     for sweep in ("gauss_seidel", "jacobi"):
         for init in ("zero", "from_initial"):
-            history, combined = oswr_iterate(
+            history, merge = oswr_iterate(
                 problem,
                 deco,
                 [params],
@@ -119,7 +119,7 @@ def test_desk_scale_all_modes_reach_fixed_point():
                 reference=reference,
             )
             assert history.converged, (sweep, init)
-            assert np.abs(combined.values - reference.values).max() <= 1e-10
+            assert np.abs(merge().values - reference.values).max() <= 1e-10
 
 
 def test_reference_ratio10_iteration_counts():
@@ -209,13 +209,13 @@ def test_monotone_error_decrease_under_sufficient_condition(rng):
         sigma1, sigma2 = min(a, b), max(a, b)  # nu2 < nu1 needs sigma1 <= sigma2
         params = TransmissionParams.custom(sigma1, sigma2, pair)
         assert sufficient_condition_holds(sigma1, sigma2, pair)
-        history, combined = oswr_iterate(
+        history, merge = oswr_iterate(
             problem, deco, [params], tol=1e-9, max_iter=300, reference=reference
         )
         errors = history.errors
         assert all(e2 < e1 for e1, e2 in zip(errors[1:], errors[2:]))
         if history.converged:
-            assert np.abs(combined.values - reference.values).max() <= 1e-9
+            assert np.abs(merge().values - reference.values).max() <= 1e-9
 
 
 # ------------------------------------------------------- interface plumbing
@@ -247,11 +247,11 @@ def test_three_subdomain_iteration_matches_monolithic():
     reference = solve_monolithic(problem, mesh)
     pairs = interface_diffusion_pairs(problem, deco)
     params = [optimize("III", REF_BAND, p).params for p in pairs]
-    history, combined = oswr_iterate(
+    history, merge = oswr_iterate(
         problem, deco, params, tol=1e-8, max_iter=200, reference=reference
     )
     assert history.converged
-    assert np.abs(combined.values - reference.values).max() <= 1e-8
+    assert np.abs(merge().values - reference.values).max() <= 1e-8
 
 
 def test_history_invariants():

@@ -297,7 +297,7 @@ def test_non_finite_iterate_is_an_error(monkeypatch, sweep):
 
 def _check_histories_match_stepping(sweep, init, with_source):
     problem, deco, params, reference = _three_layers(with_source)
-    history, combined = oswr_iterate(
+    history, merge = oswr_iterate(
         problem, deco, params, tol=1e-10, max_iter=200, init=init, sweep=sweep,
         reference=reference,
     )
@@ -308,18 +308,18 @@ def _check_histories_match_stepping(sweep, init, with_source):
     assert len(history.errors) == len(expected)
     assert np.abs(np.array(history.errors) - expected).max() <= 1e-10
     # the fixed point is the monolithic solution
-    assert np.abs(combined.values - reference.values).max() <= 1e-9
+    assert np.abs(merge().values - reference.values).max() <= 1e-9
 
 
 def _check_exact_init_is_fixed_point(sweep, with_source):
     problem, deco, params, reference = _three_layers(with_source)
-    history, combined = oswr_iterate(
+    history, merge = oswr_iterate(
         problem, deco, params, tol=1e-8, max_iter=3, init="exact", sweep=sweep,
         reference=reference,
     )
     assert history.errors[0] <= 1e-10
     assert history.iterations_to_tolerance == 1
-    assert np.abs(combined.values - reference.values).max() <= 1e-10
+    assert np.abs(merge().values - reference.values).max() <= 1e-10
 
 
 @pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
