@@ -22,6 +22,13 @@ d_j = H_j (g - g*), and the exchange keeps its form,
 
     (g - g*)_out = (sigma + sigma') * d_j,interface - (g - g*)_in.
 
+One sweep is therefore a linear map e -> T e on the error alone
+(``_Sweep``).  It owns the layout of the error, two rows per interface,
+and reads each d_j only at its interface rows; it never writes to its
+argument, so the Gauss-Seidel and Jacobi sweeps differ only in which
+error the next subdomain reads.  ``oswr_iterate`` is the fixed-point
+loop over that map, with the stop rule and the divergence check.
+
 The monolithic reference u_ref is only the yardstick, and the base of
 the merged field, which is formed only on request.  A case steps nothing
 in time: the impulse responses come from ``fem.robin_impulse_responses``,
@@ -33,10 +40,11 @@ error
     e_k = max over subdomains, nodes and time levels of |d_j|
 
 is the natural convergence measure and is what the driver records.  It
-is computed from the interface rows of each d_j, which the exchange
-needs, and the other rows whose spectral bound (``_SubdomainResponse``)
-reaches the largest value found so far; the rows skipped cannot change
-the maximum, so e_k is that of the whole field bit for bit.
+is evaluated after the sweep, from every interface row of every d_j,
+which the sweep has already formed, and the other rows whose spectral
+bound (``_SubdomainResponse``) reaches the largest value found so far;
+the rows skipped cannot change the maximum, so e_k is that of the whole
+field bit for bit.
 """
 
 from __future__ import annotations
@@ -179,45 +187,6 @@ def interface_diffusion_pairs(
     ]
 
 
-def _initial_robin_error(
-    init: str,
-    problem: HeatProblem,
-    decomposition: Decomposition,
-    params: list[TransmissionParams],
-    reference: SpaceTimeField,
-) -> np.ndarray:
-    """First Robin-data error g - g*: two rows per interface, levels 1..n_steps.
-
-    Row 2i goes into the right end of subdomain i (coefficient sigma1 of
-    interface i), row 2i + 1 into the left end of subdomain i + 1
-    (sigma2).  Robin data are sigma * u + outward flux; the first guess
-    takes u as 0 (``zero``) or as u0 at the interface node
-    (``from_initial``) and the flux as 0, the exact data g* take both
-    from the monolithic solution.  ``exact`` starts with no error.
-    """
-    delta = np.zeros((2 * len(params), problem.n_steps))
-    if init == "exact":
-        return delta
-    u0 = problem.initial_values(decomposition.global_mesh)
-    for i, (p, node) in enumerate(zip(params, decomposition.interface_nodes)):
-        guess = u0[node] if init == "from_initial" else 0.0
-        miss = guess - reference.values[1:, node]
-        lo, hi = decomposition.node_ranges[i]
-        mesh = decomposition.submeshes[i]
-        # Outward flux of the left subdomain; the right one's is its
-        # negative, as the global interface row sums the two boundary rows.
-        flux = variational_flux(
-            SpaceTimeField(mesh, problem.time_step, reference.values[:, lo:hi]),
-            problem.diffusion,
-            "right",
-            problem.source,
-            problem.lumped_mass,
-        )
-        delta[2 * i] = p.sigma1 * miss - flux
-        delta[2 * i + 1] = p.sigma2 * miss + flux
-    return delta
-
-
 class _SubdomainResponse:
     """The linear part H_j of one subdomain solve: Robin data to field.
 
@@ -225,9 +194,11 @@ class _SubdomainResponse:
     in the Robin series.  So two solves whose Robin data differ by a series
     ``e`` at each Robin end differ by H_j e: per Robin end, the causal
     convolution of ``e`` with the response to the unit impulse
-    ``[1, 0, ..., 0]`` at that end.  ``oswr_iterate`` applies it to the
-    Robin-data error g - g*, which gives the subdomain's deviation from
-    the monolithic reference.  The impulse responses come from
+    ``[1, 0, ..., 0]`` at that end.  ``_Sweep`` applies it to the
+    subdomain's rows of the Robin-data error g - g*, which gives the
+    subdomain's deviation from the monolithic reference: its interface
+    rows for the exchange, the others only for the error, and the whole
+    deviation only for the merged field.  The impulse responses come from
     ``fem.robin_impulse_responses`` (one assembly and one propagator for
     all Robin ends of the subdomain, no time loop); the convolutions are
     evaluated with FFTs of length 2 * n_steps, which makes them exact
@@ -277,6 +248,99 @@ class _SubdomainResponse:
         return np.fft.irfft(acc, 2 * n)[:, :n]
 
 
+class _Sweep:
+    """One sweep of the iteration: the linear map T from one Robin-data error to the next.
+
+    The error g - g* has two rows per interface, levels 1..n_steps.  Row
+    2i goes into the right end of subdomain i, with coefficient sigma1 of
+    interface i; row 2i + 1 into the left end of subdomain i + 1, with
+    sigma2.  So subdomain j reads rows 2j - 1 and 2j, and the exchange
+    turns its deviation at the end fed by row r into row r ^ 1 (r xor 1),
+    the other side of interface r // 2.  The Gauss-Seidel sweep runs the
+    subdomains left to right, each reading the left row its left neighbor
+    has just written; the Jacobi sweep reads the previous error only.
+    """
+
+    def __init__(self, problem: HeatProblem, decomposition: Decomposition, params, sweep: str):
+        self.problem, self.decomposition = problem, decomposition
+        self.gauss_seidel = sweep == "gauss_seidel"
+        self.sigmas = np.array([s for p in params for s in (p.sigma1, p.sigma2)])
+        rows = np.arange(len(self.sigmas))
+        # Rows r and r ^ 1 are the two sides of interface r // 2.
+        self.sums = (self.sigmas + self.sigmas[rows ^ 1])[:, None]
+        self.ends = [rows[max(2 * j - 1, 0) : 2 * j + 1] for j in range(decomposition.n_subdomains)]
+        self.responses = []
+        for j, (mesh, ends) in enumerate(zip(decomposition.submeshes, self.ends)):
+            # The first subdomain has no left end and the last no right end,
+            # so zipping the side names with its rows pairs each with its own.
+            robin = dict(zip(("left", "right")[j == 0 :], self.sigmas[ends].tolist()))
+            self.responses.append(_SubdomainResponse(problem, mesh, robin))
+
+    def initial(self, init: str, reference: SpaceTimeField) -> np.ndarray:
+        """The first error g - g*.
+
+        Robin data are sigma * u + outward flux; the first guess takes u as
+        0 (``zero``) or as u0 at the interface node (``from_initial``) and
+        the flux as 0, the exact data g* take both from the monolithic
+        solution.  ``exact`` starts with no error.
+        """
+        problem, deco = self.problem, self.decomposition
+        delta = np.zeros((len(self.sigmas), problem.n_steps))
+        if init == "exact":
+            return delta
+        u0 = problem.initial_values(deco.global_mesh)
+        for i, node in enumerate(deco.interface_nodes):
+            guess = u0[node] if init == "from_initial" else 0.0
+            miss = guess - reference.values[1:, node]
+            lo, hi = deco.node_ranges[i]
+            # Outward flux of the left subdomain; the right one's is its
+            # negative, as the global interface row sums the two boundary rows.
+            flux = variational_flux(
+                SpaceTimeField(deco.submeshes[i], problem.time_step, reference.values[:, lo:hi]),
+                problem.diffusion,
+                "right",
+                problem.source,
+                problem.lumped_mass,
+            )
+            delta[2 * i] = self.sigmas[2 * i] * miss - flux
+            delta[2 * i + 1] = self.sigmas[2 * i + 1] * miss + flux
+        return delta
+
+    def apply(self, delta: np.ndarray) -> tuple[np.ndarray, list, list]:
+        """T delta, each subdomain's series spectrum and its interface rows.
+
+        Only the interface rows of each deviation are inverse-transformed,
+        and ``delta`` is only read.
+        """
+        out = delta.copy()
+        source = out if self.gauss_seidel else delta
+        g_hats, ends_devs = [], []
+        for response, rows in zip(self.responses, self.ends):
+            series = source[rows]
+            g_hats.append(response.transform(series))
+            ends_devs.append(response.rows(g_hats[-1], response.interface_rows))
+            out[rows ^ 1] = self.sums[rows] * ends_devs[-1] - series
+        return out, g_hats, ends_devs
+
+    def error(self, g_hats, ends_devs) -> float:
+        """max |d_j| over every subdomain, node and level, from the rows that can hold it.
+
+        The running peak starts from every interface row; another row is
+        inverse-transformed only when its bound reaches the peak, and a
+        row whose bound is not finite is never skipped.
+        """
+        candidates = list(ends_devs)
+        peak = max(np.abs(dev).max() for dev in ends_devs)
+        for response, g_hat in zip(self.responses, g_hats):
+            reach = ~(_BOUND_MARGIN * response.bound(g_hat) < peak)
+            reach[response.interface_rows] = False
+            inner = np.flatnonzero(reach)
+            if inner.size:
+                candidates.append(response.rows(g_hat, inner))
+                peak = max(peak, np.abs(candidates[-1]).max())
+        return combined_error(candidates)
+
+
 def oswr_iterate(
     problem: HeatProblem,
     decomposition: Decomposition,
@@ -307,19 +371,22 @@ def oswr_iterate(
     None); it is the error's yardstick and the base of the merged field,
     so it must be that solution.
 
-    Each application inverse-transforms the deviation's interface rows
-    and those other rows whose bound reaches the largest value found so
-    far in the iteration; a row whose bound is not finite is never
-    skipped.  numpy's ``irfft`` of a subset of rows equals those rows of
-    the whole batch, so the interface values and the error are those of
-    the whole field bit for bit.  Only the merge function transforms whole
-    deviations, from each subdomain's last spectrum, and only when called;
-    it keeps those spectra alive as long as it lives.
+    Each sweep inverse-transforms the deviations' interface rows; the
+    error evaluation after it starts from their largest value and adds
+    the other rows whose bound reaches the largest value found so far; a
+    row whose bound is not finite is never skipped.  numpy's ``irfft`` of
+    a subset of rows equals those rows of the whole batch, so the interface
+    values and the error are those of the whole field bit for bit.  Only
+    the merge function transforms whole deviations, from each subdomain's
+    last spectrum, and only when called; it keeps those spectra alive as
+    long as it lives.
 
     Stops once the error against the monolithic solution drops to ``tol``.
     Raises IterationDiverged if the error exceeds 1e6 times the first
-    iterate's error, NonFiniteSolution if an iterate is not finite; otherwise
-    returns after ``max_iter`` with a history that has not converged.
+    iterate's error, NonFiniteSolution if an iterate is not finite (data
+    near the double limit overflow to inf or nan without a numpy warning);
+    otherwise returns after ``max_iter`` with a history that has not
+    converged.
     """
     if init not in INIT_MODES:
         raise ValueError(f"init must be one of {INIT_MODES}")
@@ -336,66 +403,30 @@ def oswr_iterate(
 
     if reference is None:
         reference = solve_monolithic(problem, decomposition.global_mesh)
-    n_sub = decomposition.n_subdomains
-    delta = _initial_robin_error(init, problem, decomposition, params, reference)
-    sigma_sums = [p.sigma1 + p.sigma2 for p in params]
-    sigmas = [s for p in params for s in (p.sigma1, p.sigma2)]
-    # Subdomain j's Robin ends are rows 2j - 1 (left) and 2j (right) of the
-    # error; the first subdomain has no left end and the last no right end,
-    # so zipping the side names with its rows pairs each with its own.
-    ends = [slice(max(2 * j - 1, 0), min(2 * j + 1, len(sigmas))) for j in range(n_sub)]
-    responses = [
-        _SubdomainResponse(problem, mesh, dict(zip(("left", "right")[j == 0 :], sigmas[rows])))
-        for j, (mesh, rows) in enumerate(zip(decomposition.submeshes, ends))
-    ]
-
+    sweeps = _Sweep(problem, decomposition, params, sweep)
     errors: list[float] = []
-    iterations = None
-    # Each subdomain's last series spectrum, for the merge.
-    g_hats: list[np.ndarray] = [np.empty(0)] * n_sub
+    # Data near the double limit overflow to inf or nan; the finiteness
+    # check below reports that, with no warning on the way.
+    with np.errstate(over="ignore", invalid="ignore"):
+        delta = sweeps.initial(init, reference)
+        for k in range(1, max_iter + 1):
+            delta, g_hats, ends_devs = sweeps.apply(delta)
+            err = sweeps.error(g_hats, ends_devs)
+            if not math.isfinite(err):
+                raise NonFiniteSolution(f"iterate {k} is not finite")
+            errors.append(err)
+            if err <= tol:
+                break
+            if err > DIVERGENCE_FACTOR * errors[0]:
+                raise IterationDiverged(
+                    f"error {err} exceeds {DIVERGENCE_FACTOR} x first-iterate "
+                    f"error {errors[0]} at iteration {k}"
+                )
 
-    for k in range(1, max_iter + 1):
-        # Subdomain j reads its own rows and writes its neighbors' rows
-        # 2j - 2 and 2j + 1.
-        data = delta if sweep == "gauss_seidel" else delta.copy()
-        # The rows that can hold the error: every interface row, and every
-        # other row whose bound reaches the largest value found so far.
-        candidates: list[np.ndarray] = []
-        peak = 0.0
-        for j, (response, rows) in enumerate(zip(responses, ends)):
-            series = data[rows]
-            g_hat = g_hats[j] = response.transform(series)
-            ends_dev = response.rows(g_hat, response.interface_rows)
-            peak = max(peak, np.abs(ends_dev).max())
-            candidates.append(ends_dev)
-            reach = ~(_BOUND_MARGIN * response.bound(g_hat) < peak)
-            reach[response.interface_rows] = False
-            inner = np.flatnonzero(reach)
-            if inner.size:
-                candidates.append(response.rows(g_hat, inner))
-                peak = max(peak, np.abs(candidates[-1]).max())
-            if j > 0:
-                delta[2 * j - 2] = sigma_sums[j - 1] * ends_dev[0] - series[0]
-            if j < n_sub - 1:
-                delta[2 * j + 1] = sigma_sums[j] * ends_dev[-1] - series[-1]
-
-        err = combined_error(candidates)
-        if not math.isfinite(err):
-            raise NonFiniteSolution(f"iterate {k} is not finite")
-        errors.append(err)
-        if err <= tol:
-            iterations = k
-            break
-        if err > DIVERGENCE_FACTOR * errors[0]:
-            raise IterationDiverged(
-                f"error {err} exceeds {DIVERGENCE_FACTOR} x first-iterate "
-                f"error {errors[0]} at iteration {k}"
-            )
-
-    for response in responses:
+    for response in sweeps.responses:
         del response._weights  # the merge keeps the responses; it reads only their spectra
-    history = ConvergenceHistory(tuple(errors), tol, iterations, max_iter)
-    return history, functools.partial(_combine_fields, responses, g_hats, decomposition, reference)
+    merge = functools.partial(_combine_fields, sweeps.responses, g_hats, decomposition, reference)
+    return ConvergenceHistory(tuple(errors), tol, k if err <= tol else None, max_iter), merge
 
 
 def _combine_fields(

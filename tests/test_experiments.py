@@ -5,6 +5,7 @@ import importlib.util
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1253,9 +1254,6 @@ def test_subnormal_second_coefficient_runs_clean(tmp_path, command, csv):
                 assert math.isfinite(float(value)), name
 
 
-# numpy reports the overflow as it happens; the run must still end typed.
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize(
     "flag, value, message",
     [
@@ -1275,6 +1273,25 @@ def test_data_that_overflow_the_arithmetic_are_a_runtime_error(
     argv = ["ratio-sweep", f"{flag}={value}", "--ratios", "10", "--versions", "I"]
     assert main([*argv, "--out-dir", str(out)]) == 2
     assert capsys.readouterr().err == f"runtime error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "u0, ratio, versions",
+    [("1e306", "1e4", "I"), ("1e307", "1e4", "I,II,III"), ("1e308", "10", "I,II,III")],
+)
+def test_data_near_the_double_limit_end_typed_with_no_warning(
+    tmp_path, capsys, u0, ratio, versions
+):
+    # The first iterate's inverse FFT (1e306), or the exact data's flux
+    # and the first error (1e307, 1e308), overflow; each printed a numpy
+    # RuntimeWarning, a traceback with exit 1 when warnings are errors.
+    out = tmp_path / "out"
+    argv = ["ratio-sweep", "--u0", u0, "--ratios", ratio, "--versions", versions]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([*argv, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "runtime error: iterate 1 is not finite\n"
     assert not out.exists()
 
 

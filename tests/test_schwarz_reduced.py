@@ -10,7 +10,9 @@ replaced, kept here as the reference: that one exchanges interface traces
 and variationally recovered fluxes, where ``oswr_iterate`` exchanges
 Robin data only.  They also pin the iteration's calls: no time stepping
 and one tridiagonal block solve per subdomain and case, one error evaluation
-per iteration, one flux recovery per interface at most.
+per iteration, one flux recovery per interface at most; and the contract of
+one sweep (``schwarz._Sweep.apply``) as a linear map on the Robin-data
+error, which leaves its argument as it was.
 """
 
 import numpy as np
@@ -351,3 +353,88 @@ def test_three_layer_exact_init_is_fixed_point(sweep):
 @pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
 def test_three_layer_exact_init_is_fixed_point_with_source(sweep):
     _check_exact_init_is_fixed_point(sweep, with_source=True)
+
+
+def _layered_case(n_interfaces, lumped_mass):
+    """Up to five layers split at each layer interface, on a short window."""
+    interfaces = {1: (0.5,), 2: (0.25, 0.5), 4: (0.2, 0.4, 0.6, 0.8)}[n_interfaces]
+    layers = (1.0, 0.01, 0.001, 0.1, 1e-4)[: n_interfaces + 1]
+    # The sweep acts on the Robin-data error alone: no data enter it.
+    problem = HeatProblem(
+        DiffusionProfile(layers, interfaces), None, 0.0, 0.0, 0.0, 1.0, 1.0 / 16.0, lumped_mass
+    )
+    deco = decompose(Mesh1D.uniform(0.0, 1.0, 20), interfaces)
+    band = frequency_band_from_grid(1.0, 1.0 / 16.0)
+    pairs = interface_diffusion_pairs(problem, deco)
+    return problem, deco, [optimize("II", band, pair).params for pair in pairs]
+
+
+@pytest.mark.parametrize("lumped_mass", [False, True])
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+@pytest.mark.parametrize("n_interfaces", [1, 2, 4])
+def test_sweep_is_a_linear_map_that_only_reads_its_argument(
+    rng, n_interfaces, sweep, lumped_mass
+):
+    problem, deco, params = _layered_case(n_interfaces, lumped_mass)
+    sweeps = schwarz._Sweep(problem, deco, params, sweep)
+    x, y = rng.normal(scale=10.0, size=(2, 2 * n_interfaces, problem.n_steps))
+    a = float(rng.normal())
+
+    def apply(delta):
+        kept = delta.copy()
+        result = sweeps.apply(delta)[0]
+        assert delta.tobytes() == kept.tobytes()
+        assert result.shape == delta.shape and not np.shares_memory(result, delta)
+        return result
+
+    assert np.all(apply(np.zeros_like(x)) == 0.0)
+    combined = apply(a * x + y)
+    scale = np.abs(combined).max()
+    assert scale > 0.0
+    assert np.abs(combined - (a * apply(x) + apply(y))).max() <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+def test_five_layers_reach_the_monolithic_solution(sweep):
+    # Five layers with jumps down to 1e-4 and four interfaces.
+    mesh = Mesh1D.uniform(0.0, 1.0, 100)
+    interfaces = (0.2, 0.4, 0.6, 0.8)
+    problem = HeatProblem(
+        DiffusionProfile((1.0, 0.01, 0.001, 0.1, 1e-4), interfaces),
+        None, 20.0, 0.0, 50.0, 5.0, 1.0 / 40.0,
+    )
+    deco = decompose(mesh, interfaces)
+    params = [
+        optimize("III", REF_BAND, pair).params
+        for pair in interface_diffusion_pairs(problem, deco)
+    ]
+    reference = solve_monolithic(problem, mesh)
+    history, merge = oswr_iterate(
+        problem, deco, params, tol=1e-10, max_iter=300, sweep=sweep, reference=reference
+    )
+    assert history.converged
+    assert np.abs(merge().values - reference.values).max() <= 1e-9
+
+
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+def test_error_finds_a_maximum_off_the_interface_rows(monkeypatch, sweep):
+    # One inner node's impulse responses scaled up put the maximum off the
+    # interface rows, where only the bound test can find it.  The exchange
+    # reads interface rows only, so the sweep itself is unchanged.
+    problem, deco, params, reference = _small_case(2)
+    respond = schwarz.robin_impulse_responses
+
+    def amplified(*args):
+        responses = respond(*args)
+        for response in responses.values():
+            response[:, 2] *= 1e3  # node 2 is inner in every subdomain
+        return responses
+
+    monkeypatch.setattr(schwarz, "robin_impulse_responses", amplified)
+    sweeps = schwarz._Sweep(problem, deco, params, sweep)
+    delta = sweeps.initial("zero", reference)
+    for _ in range(3):
+        delta, g_hats, ends_devs = sweeps.apply(delta)
+        whole = max(np.abs(r.rows(g)).max() for r, g in zip(sweeps.responses, g_hats))
+        assert whole > max(np.abs(dev).max() for dev in ends_devs)
+        assert sweeps.error(g_hats, ends_devs) == whole
