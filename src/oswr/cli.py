@@ -60,18 +60,17 @@ def _epilog() -> str:
     return "\n".join(lines) + "\n"
 
 
-def _add_override_flags(parser: argparse.ArgumentParser) -> None:
+def build_parser() -> argparse.ArgumentParser:
+    # The override flags, declared once and shared by every subcommand.
+    flags = argparse.ArgumentParser(add_help=False)
     for key in CONFIG_KEYS:
         if key.name != "scenario":
-            parser.add_argument(
+            flags.add_argument(
                 "--" + key.name.replace("_", "-"),
                 dest=key.name,
                 choices=key.choices if key.kind == "str" else None,
                 help=key.help,
             )
-
-
-def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="oswr",
         description="Schwarz waveform-relaxation experiments for layered heat transfer",
@@ -79,12 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command in _SCENARIO_COMMANDS:
-        p = sub.add_parser(command, help=f"run the {_SCENARIO_COMMANDS[command]} scenario")
-        _add_override_flags(p)
-    p_run = sub.add_parser("run", help="run the scenario named in a config file")
+    for command, scenario in _SCENARIO_COMMANDS.items():
+        sub.add_parser(command, parents=[flags], help=f"run the {scenario} scenario")
+    p_run = sub.add_parser("run", parents=[flags], help="run the scenario named in a config file")
     p_run.add_argument("config", help="path to a key=value config file")
-    _add_override_flags(p_run)
     return parser
 
 

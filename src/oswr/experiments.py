@@ -99,6 +99,11 @@ _V3_MU_MAX = sys.float_info.min ** -0.25
 # room (2**22) for the factors' constants.
 _WT_MAX = 2.0 ** 250
 
+# Each curve or scan point is a CSV row per curve: the six default rho
+# curves at this count are about 6 million rows.  Far larger counts failed
+# in numpy's allocation with a traceback instead of a configuration error.
+_MAX_POINTS = 10**6
+
 # A key's own rule, named by the words its error message uses.
 _RULES = {
     "positive": lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
@@ -262,10 +267,14 @@ class ExperimentConfig:
         for v in self.interfaces:
             if not (0.0 < v < 1.0):
                 raise ConfigError(f"interfaces must lie inside (0, 1), got {v}")
-        if self.scenario == "rho_curves" and self.rho_points < 500:
-            raise ConfigError("rho_points must be >= 500 for rho_curves")
-        if self.scenario == "v3_root_scan" and self.scan_points < 500:
-            raise ConfigError("scan_points must be >= 500 for v3_root_scan")
+        points = {"rho_curves": "rho_points", "v3_root_scan": "scan_points"}.get(self.scenario)
+        if points and getattr(self, points) < 500:
+            raise ConfigError(f"{points} must be >= 500 for {self.scenario}")
+        if points and getattr(self, points) > _MAX_POINTS:
+            raise ConfigError(
+                f"{points} must be <= {_MAX_POINTS} for {self.scenario}: "
+                "each point is a CSV row per curve"
+            )
         if self.scenario in _LAYERED and len(self.nu_layers) != len(self.interfaces) + 1:
             raise ConfigError("nu_layers must have exactly one more entry than interfaces")
         if self.scenario in _SWEEPS and len(self.interfaces) != 1:

@@ -15,10 +15,13 @@ Dirichlet data at both ends; ``solve_subdomain_robin`` takes Robin data
 
     nu * du/dn + sigma * u = g_R   (outward normal n)
 
-at either end.  For domain decomposition two extra ingredients are
-provided: the response of a Robin solve to a unit Robin impulse at each
-end, computed by powering the one-step propagator
-(``robin_impulse_responses``); and variational recovery of the
+at either end.  Inside the module a solve's ends are the pair
+(sigma_left, sigma_right), None at a Dirichlet end, and
+``robin_impulse_responses`` takes that pair too.  For domain
+decomposition two extra ingredients are provided: the response of a
+Robin solve to a unit Robin impulse at each Robin end, computed by
+powering the one-step propagator (``robin_impulse_responses``, one
+array indexed [Robin end, node, level]); and variational recovery of the
 boundary flux nu * du/dn from the residual of the boundary row.  At a
 Robin end that residual is fixed by the solve itself: the recovered flux
 equals g_R - sigma * u to rounding, so the Schwarz iteration exchanges
@@ -377,58 +380,43 @@ def assemble_operators(
     return mass, stiffness
 
 
-def _system_matrix(
-    mass: TridiagonalMatrix, stiffness: TridiagonalMatrix, dt: float
-) -> TridiagonalMatrix:
-    return TridiagonalMatrix(
+def _step_operators(
+    problem: HeatProblem, mesh: Mesh1D, ends
+) -> tuple[TridiagonalMatrix, TridiagonalMatrix]:
+    """Mass matrix and backward-Euler system matrix A = M + dt*K of one solve.
+
+    ``ends`` is the pair (sigma at the left end, sigma at the right end),
+    None at a Dirichlet end.  A Robin end gets dt * sigma on its diagonal
+    entry, a Dirichlet end the identity row.
+    """
+    mass, stiffness = assemble_operators(mesh, problem.diffusion, problem.lumped_mass)
+    dt = problem.time_step
+    A = TridiagonalMatrix(
         mass.lower + dt * stiffness.lower,
         mass.diag + dt * stiffness.diag,
         mass.upper + dt * stiffness.upper,
     )
-
-
-def _apply_dirichlet_row(A: TridiagonalMatrix, side: str) -> None:
-    if side == "left":
-        A.diag[0] = 1.0
-        A.upper[0] = 0.0
-    else:
-        A.diag[-1] = 1.0
-        A.lower[-1] = 0.0
-
-
-def _step_operators(
-    problem: HeatProblem, mesh: Mesh1D, robin_sigmas: dict[str, float]
-) -> tuple[TridiagonalMatrix, TridiagonalMatrix]:
-    """Mass matrix and backward-Euler system matrix of one solve.
-
-    The ends in ``robin_sigmas`` get dt * sigma on their diagonal entry,
-    the other ends the Dirichlet identity row.
-    """
-    mass, stiffness = assemble_operators(mesh, problem.diffusion, problem.lumped_mass)
-    dt = problem.time_step
-    A = _system_matrix(mass, stiffness, dt)
-    for side, idx in (("left", 0), ("right", -1)):
-        if side in robin_sigmas:
-            A.diag[idx] += dt * robin_sigmas[side]
+    for idx, sigma, coupling in zip((0, -1), ends, (A.upper, A.lower)):
+        if sigma is None:
+            A.diag[idx], coupling[idx] = 1.0, 0.0
         else:
-            _apply_dirichlet_row(A, side)
+            A.diag[idx] += dt * sigma
     return mass, A
 
 
 def _propagator_solve(
-    mass: TridiagonalMatrix, A: TridiagonalMatrix, robin_sigmas, columns: np.ndarray
+    mass: TridiagonalMatrix, A: TridiagonalMatrix, ends, columns: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """P = A^{-1} B and A^{-1} ``columns``, from one tridiagonal block solve.
 
-    B is the mass matrix with the rows of the Dirichlet ends (those not in
-    ``robin_sigmas``) zeroed, so a step that takes in no data is
-    u_k = P u_{k-1}.
+    B is the mass matrix with the rows of the Dirichlet ends (None in
+    ``ends``) zeroed, so a step that takes in no data is u_k = P u_{k-1}.
     """
     n_nodes = mass.diag.size
     rhs = np.empty((n_nodes, n_nodes + columns.shape[1]))
     rhs[:, :n_nodes] = mass.to_dense()
-    for side, idx in (("left", 0), ("right", -1)):
-        if side not in robin_sigmas:
+    for idx, sigma in zip((0, -1), ends):
+        if sigma is None:
             rhs[idx, :n_nodes] = 0.0
     rhs[:, n_nodes:] = columns
     solved = TridiagonalSolver(A).solve(rhs)
@@ -448,19 +436,19 @@ def _solve(problem: HeatProblem, mesh: Mesh1D, left, right) -> SpaceTimeField:
     [B | c_1 ... c_N] gives P and every a_k.  The levels then come from
     ``_affine_levels`` without a loop over them.
     """
-    sigmas = {d.side: d.sigma for d in (left, right) if isinstance(d, RobinBoundaryData)}
-    mass, A = _step_operators(problem, mesh, sigmas)
+    ends = tuple(d.sigma if isinstance(d, RobinBoundaryData) else None for d in (left, right))
+    mass, A = _step_operators(problem, mesh, ends)
     dt = problem.time_step
     times = (dt * np.arange(1, problem.n_steps + 1)).tolist()
     loads = np.zeros((len(times), mesh.n_nodes))  # c_k, one level per row
     if problem.source is not None:
         loads = dt * mass.matvec(np.array([problem.source_nodal(mesh, t) for t in times]))
-    for idx, data in ((0, left), (-1, right)):
-        if isinstance(data, RobinBoundaryData):
-            loads[:, idx] += dt * data.values
-        else:
+    for idx, data, sigma in zip((0, -1), (left, right), ends):
+        if sigma is None:
             loads[:, idx] = [_as_time_function(data)(t) for t in times]
-    power, forcing = _propagator_solve(mass, A, sigmas, loads.T)
+        else:
+            loads[:, idx] += dt * data.values
+    power, forcing = _propagator_solve(mass, A, ends, loads.T)
     values = np.empty((len(times) + 1, mesh.n_nodes))
     values[0] = problem.initial_values(mesh)
     values[1:] = _affine_levels(power, forcing.T, values[0])
@@ -554,18 +542,16 @@ def solve_subdomain_robin(
     return _solve(problem, mesh, left, right)
 
 
-def robin_impulse_responses(
-    problem: HeatProblem, mesh: Mesh1D, sigmas: dict[str, float]
-) -> dict[str, np.ndarray]:
+def robin_impulse_responses(problem: HeatProblem, mesh: Mesh1D, ends) -> np.ndarray:
     """Response of one subdomain to a unit impulse at each of its Robin ends.
 
-    ``sigmas`` maps each Robin end ("left", "right") to its coefficient;
-    the other ends are Dirichlet.  For each Robin end, in left-right order,
-    the result holds the nodal values at levels 1..n_steps (rows) of
-    ``solve_subdomain_robin`` on ``problem`` with no source, zero initial
-    and Dirichlet data, and the Robin series ``[1, 0, ..., 0]`` at that end
-    (zero at the other).  Only the diffusion, the mass option and the time
-    grid of ``problem`` are read.
+    ``ends`` is the pair (sigma at the left end, sigma at the right end),
+    None at a Dirichlet end; at least one end is Robin.  The result is
+    indexed [Robin end (left first), node, level]: the nodal values at
+    levels 1..n_steps of ``solve_subdomain_robin`` on ``problem`` with no
+    source, zero initial and Dirichlet data, and the Robin series
+    ``[1, 0, ..., 0]`` at that end (zero at the other).  Only the
+    diffusion, the mass option and the time grid of ``problem`` are read.
 
     No time loop: without data after level 1 a step is the fixed map
     u_k = P u_{k-1}, P = A^{-1} B (A the system matrix, B the mass matrix
@@ -581,22 +567,20 @@ def robin_impulse_responses(
     N = 800, and 1.2 ms each at 61 nodes and N = 200 (2-core host, numpy
     2.4.6, one BLAS thread, best of 15 calls).
     """
-    sides = tuple(side for side in ("left", "right") if side in sigmas)
-    if not sides or len(sides) != len(sigmas):
-        raise ValueError("sigmas must map one or both of 'left', 'right' to a coefficient")
-    for side in sides:
-        if not (math.isfinite(sigmas[side]) and sigmas[side] > 0.0):
-            raise ValueError("sigma must be positive and finite")
-    mass, A = _step_operators(problem, mesh, sigmas)
+    robin = [idx for idx, sigma in zip((0, -1), ends) if sigma is not None]
+    if len(ends) != 2 or not robin:
+        raise ValueError("ends must be (sigma_left, sigma_right) with at least one sigma")
+    if not all(math.isfinite(s) and s > 0.0 for s in ends if s is not None):
+        raise ValueError("sigma must be positive and finite")
+    mass, A = _step_operators(problem, mesh, ends)
     n_steps = problem.n_steps
     n_nodes = mesh.n_nodes
-    impulses = np.zeros((n_nodes, len(sides)))
-    for r, side in enumerate(sides):
-        impulses[0 if side == "left" else -1, r] = problem.time_step
-    power, first = _propagator_solve(mass, A, sigmas, impulses)
+    impulses = np.zeros((n_nodes, len(robin)))
+    impulses[robin, range(len(robin))] = problem.time_step
+    power, first = _propagator_solve(mass, A, ends, impulses)
 
-    # levels[:, k, r]: node values at level k + 1 for the impulse at sides[r]
-    levels = np.empty((n_nodes, n_steps, len(sides)))
+    # levels[:, k, r]: node values at level k + 1 for the impulse at Robin end r
+    levels = np.empty((n_nodes, n_steps, len(robin)))
     levels[:, 0] = first
     done = 1
     while done < n_steps:
@@ -605,7 +589,7 @@ def robin_impulse_responses(
         done += m
         if done < n_steps:
             power = np.einsum("ij,jk->ik", power, power)
-    return {side: levels[:, :, r].T for r, side in enumerate(sides)}
+    return levels.transpose(2, 0, 1)
 
 
 def variational_flux(

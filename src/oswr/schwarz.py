@@ -198,14 +198,16 @@ class _SubdomainResponse:
     subdomain's rows of the Robin-data error g - g*, which gives the
     subdomain's deviation from the monolithic reference: its interface
     rows for the exchange, the others only for the error, and the whole
-    deviation only for the merged field.  The impulse responses come from
-    ``fem.robin_impulse_responses`` (one assembly and one propagator for
-    all Robin ends of the subdomain, no time loop); the convolutions are
-    evaluated with FFTs of length 2 * n_steps, which makes them exact
-    linear (not circular) convolutions: one rfft of the Robin series
-    (``transform``) and one irfft per node asked for (``rows``).
-    ``spectra[r, i]`` is the DFT of node i's response to an impulse at
-    Robin end r, left end first.
+    deviation only for the merged field.  The subdomain's ends are the
+    pair (sigma_left, sigma_right), None at a Dirichlet end.  The impulse
+    responses come from ``fem.robin_impulse_responses`` as one array
+    indexed [Robin end (left first), node, level] (one assembly and one
+    propagator for all Robin ends of the subdomain, no time loop); the
+    convolutions are evaluated with FFTs of length 2 * n_steps, which
+    makes them exact linear (not circular) convolutions: one rfft of the
+    Robin series (``transform``) and one irfft per node asked for
+    (``rows``).  ``spectra[r, i]`` is the DFT of node i's response to an
+    impulse at Robin end r, the rfft of that array along its levels.
 
     ``bound`` gives, for every node i, B_i = sum_r sum_theta c_theta
     |spectra[r, i, theta]| |g_hat[r, theta]| / (2 n_steps), with c_theta
@@ -214,17 +216,15 @@ class _SubdomainResponse:
     n_steps + 1 bins, divided by 2 n_steps, so B_i >= max_t |d_i[t]|.
     """
 
-    def __init__(self, problem: HeatProblem, mesh: Mesh1D, sigmas: dict[str, float]):
-        """``sigmas`` maps each Robin end to its coefficient; other ends are Dirichlet."""
-        responses = robin_impulse_responses(problem, mesh, sigmas)
+    def __init__(self, problem: HeatProblem, mesh: Mesh1D, ends):
+        """``ends`` is (sigma_left, sigma_right), None at a Dirichlet end."""
         self.n_steps = n = problem.n_steps
-        self.spectra = np.fft.rfft(np.stack([h.T for h in responses.values()]), 2 * n)
+        self.spectra = np.fft.rfft(robin_impulse_responses(problem, mesh, ends), 2 * n)
         bins = np.full(n + 1, 1.0 / n)
         bins[[0, -1]] = 0.5 / n
         self._weights = np.abs(self.spectra) * bins
         # The Robin-end nodes, left end first: the rows the exchange reads.
-        last = mesh.n_nodes - 1
-        self.interface_rows = [i for side, i in (("left", 0), ("right", last)) if side in sigmas]
+        self.interface_rows = [i for i, s in zip((0, mesh.n_nodes - 1), ends) if s is not None]
 
     def transform(self, series: np.ndarray) -> np.ndarray:
         """Spectrum of one series per Robin end (rows, left end first)."""
@@ -268,13 +268,14 @@ class _Sweep:
         rows = np.arange(len(self.sigmas))
         # Rows r and r ^ 1 are the two sides of interface r // 2.
         self.sums = (self.sigmas + self.sigmas[rows ^ 1])[:, None]
-        self.ends = [rows[max(2 * j - 1, 0) : 2 * j + 1] for j in range(decomposition.n_subdomains)]
-        self.responses = []
-        for j, (mesh, ends) in enumerate(zip(decomposition.submeshes, self.ends)):
-            # The first subdomain has no left end and the last no right end,
-            # so zipping the side names with its rows pairs each with its own.
-            robin = dict(zip(("left", "right")[j == 0 :], self.sigmas[ends].tolist()))
-            self.responses.append(_SubdomainResponse(problem, mesh, robin))
+        self.rows = [rows[max(2 * j - 1, 0) : 2 * j + 1] for j in range(decomposition.n_subdomains)]
+        # Subdomain j's (left, right) coefficients, from rows 2j - 1 and 2j;
+        # the outer ends of the first and last subdomains are Dirichlet.
+        padded = [None, *self.sigmas.tolist(), None]
+        self.responses = [
+            _SubdomainResponse(problem, mesh, ends)
+            for mesh, ends in zip(decomposition.submeshes, zip(padded[::2], padded[1::2]))
+        ]
 
     def initial(self, init: str, reference: SpaceTimeField) -> np.ndarray:
         """The first error g - g*.
@@ -315,7 +316,7 @@ class _Sweep:
         out = delta.copy()
         source = out if self.gauss_seidel else delta
         g_hats, ends_devs = [], []
-        for response, rows in zip(self.responses, self.ends):
+        for response, rows in zip(self.responses, self.rows):
             series = source[rows]
             g_hats.append(response.transform(series))
             ends_devs.append(response.rows(g_hats[-1], response.interface_rows))

@@ -13,10 +13,8 @@ from oswr.fem import (
     RobinBoundaryData,
     SpaceTimeField,
     TridiagonalSolver,
-    _apply_dirichlet_row,
     _as_time_function,
-    _system_matrix,
-    assemble_operators,
+    _step_operators,
 )
 
 
@@ -28,17 +26,15 @@ def stepped_solve(problem, mesh, left, right):
     solves A u_k = M u_{k-1} + dt M f(t_k), with dt * g_R(t_k) added to a
     Robin end's entry and g(t_k) written into a Dirichlet end's.
     """
-    mass, stiffness = assemble_operators(mesh, problem.diffusion, problem.lumped_mass)
+    ends = tuple(d.sigma if isinstance(d, RobinBoundaryData) else None for d in (left, right))
+    mass, A = _step_operators(problem, mesh, ends)
     dt = problem.time_step
-    A = _system_matrix(mass, stiffness, dt)
     robin_rows, dirichlet_rows = [], []
     for side, idx, data in (("left", 0, left), ("right", -1, right)):
         if isinstance(data, RobinBoundaryData):
             assert data.side == side and data.values.size == problem.n_steps
-            A.diag[idx] += dt * data.sigma
             robin_rows.append((idx, data.values))
         else:
-            _apply_dirichlet_row(A, side)
             dirichlet_rows.append((idx, _as_time_function(data)))
     solver = TridiagonalSolver(A)
     u = problem.initial_values(mesh)

@@ -107,7 +107,13 @@ def test_config_validate_layer_counts():
 def test_allowed_choices_come_from_the_library():
     assert VERSIONS == ("I", "II", "III")
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert list(commands.choices) == [*_SCENARIO_COMMANDS, "run"]
+    flags = {"--" + k.name.replace("_", "-"): k.name for k in CONFIG_KEYS if k.name != "scenario"}
     for command, parser in commands.choices.items():
+        # Every command takes every key but the file-only scenario as a flag.
+        options = parser._option_string_actions
+        assert set(options) == {"-h", "--help", *flags}, command
+        assert all(options[flag].dest == dest for flag, dest in flags.items()), command
         choices = {a.dest: a.choices for a in parser._actions}
         assert tuple(choices["init"]) == INIT_MODES, command
         assert tuple(choices["sweep"]) == SWEEP_MODES, command
@@ -829,6 +835,28 @@ def test_every_key_rejects_a_bad_value_with_its_own_message(
         assert main([_COMMANDS[scenario], f"{flag}={text}", *out_args]) == 1
         assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "scenario, key, count",
+    [
+        ("rho_curves", "rho_points", "100000000000000000000"),
+        ("v3_root_scan", "scan_points", "100000000000000000000"),
+        ("rho_curves", "rho_points", "3000000000"),
+    ],
+)
+def test_point_counts_above_the_cap_are_config_errors(tmp_path, capsys, scenario, key, count):
+    # Each ended in a numpy allocation error, with a traceback and no message.
+    out = tmp_path / "out"
+    flag = "--" + key.replace("_", "-")
+    assert main([_COMMANDS[scenario], flag, count, "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {key} must be <= 1000000 for {scenario}: "
+        "each point is a CSV row per curve\n"
+    )
+    assert not out.exists()
+    # The cap itself is a valid count; it is validated, not run.
+    ExperimentConfig(scenario=scenario, **{key: 10**6}).validate()
 
 
 @pytest.mark.parametrize(

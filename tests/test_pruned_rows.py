@@ -59,7 +59,8 @@ def test_bound_covers_every_level_of_its_row(rng, sides):
         DiffusionProfile((1.0, 0.05), (0.375,)), None, 0.0, 0.0, 0.0, 2.0, 1.0 / 32.0
     )
     mesh = Mesh1D.uniform(0.0, 0.75, 24)
-    response = schwarz._SubdomainResponse(problem, mesh, {side: 1.5 for side in sides})
+    ends = tuple(1.5 if side in sides else None for side in ("left", "right"))
+    response = schwarz._SubdomainResponse(problem, mesh, ends)
     for scale in (1e-200, 1.0, 1e200):
         g_hat = response.transform(scale * rng.normal(size=(len(sides), problem.n_steps)))
         deviation = response.rows(g_hat)

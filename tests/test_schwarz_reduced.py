@@ -180,7 +180,7 @@ def test_superposition_matches_direct_solve(rng, sides, lumped_mass):
     # Two solves differ by the response to the difference of their data.
     first, series = random_series(), random_series()
     response = schwarz._SubdomainResponse(
-        problem, mesh, {side: sigmas[side] for side in sides}
+        problem, mesh, tuple(sigmas[side] if side in sides else None for side in ("left", "right"))
     )
     difference = np.stack([series[side] - first[side] for side in sides])
     deviation = response.rows(response.transform(difference)).T
@@ -286,7 +286,7 @@ def test_non_finite_iterate_is_an_error(monkeypatch, sweep):
         calls.append(1)
         responses = respond(*args)
         if len(calls) == 2:  # middle subdomain, an inner node
-            responses["left"][3, 2] = np.nan
+            responses[0, 2, 3] = np.nan
         return responses
 
     monkeypatch.setattr(schwarz, "robin_impulse_responses", poisoned)
@@ -426,8 +426,7 @@ def test_error_finds_a_maximum_off_the_interface_rows(monkeypatch, sweep):
 
     def amplified(*args):
         responses = respond(*args)
-        for response in responses.values():
-            response[:, 2] *= 1e3  # node 2 is inner in every subdomain
+        responses[:, 2] *= 1e3  # node 2 is inner in every subdomain
         return responses
 
     monkeypatch.setattr(schwarz, "robin_impulse_responses", amplified)
