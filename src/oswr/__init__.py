@@ -10,6 +10,21 @@ Subpackages:
 * ``cli``: the ``oswr`` command-line entry point.
 """
 
+import os
+import sys
+
+# oswr makes no BLAS call, yet OpenBLAS starts its thread pool when numpy
+# loads it, and the idle workers spin.  OpenBLAS reads its thread count
+# only at load time, so numpy is loaded here with one thread unless the
+# user chose a count or imported numpy first; the variable is removed
+# again, and the user's environment and child processes never see it.
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy  # noqa: F401
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 from .frequency import (
     DiffusionPair,
     FrequencyBand,

@@ -1,16 +1,27 @@
 """The package stays numpy-only and calls no BLAS or LAPACK routine.
 
-Dense products through BLAS start its thread pool: a 101x101 propagator
+Dense products through BLAS run on its thread pool: a 101x101 propagator
 loop took 134 ms with default OpenBLAS threading against 2 ms on one
 thread, and the first LAPACK call maps pages that show in the peak RSS.
 Plain ``np.einsum`` runs in numpy's own loops, so it is the one dense
 product allowed; ``optimize=`` would hand it to BLAS again.
+
+The pool itself starts when numpy loads OpenBLAS, even if no BLAS call is
+ever made, and its idle workers spin for a while.  So the package
+``__init__`` loads numpy with ``OPENBLAS_NUM_THREADS=1`` when nothing
+chose otherwise, and removes the variable again; the last tests below
+check that guard in fresh interpreters.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
+
+import oswr
 
 SOURCES = sorted((Path(__file__).resolve().parent.parent / "src" / "oswr").glob("*.py"))
 BLAS_ATTRIBUTES = {"linalg", "dot", "vdot", "matmul", "inner", "tensordot"}
@@ -74,3 +85,35 @@ def test_each_blas_construct_is_caught(code):
 
 def test_plain_einsum_is_allowed():
     assert blas_uses(ast.parse("x = np.einsum('ij,jk->ik', a, b)")) == []
+
+
+def run_fresh(code: str, **env: str) -> None:
+    """Run ``code`` in a fresh interpreter that finds this ``oswr``, with no
+    BLAS thread variable but those in ``env``; fail if ``code`` does."""
+    child_env = {k: v for k, v in os.environ.items()
+                 if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    child_env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, (str(Path(oswr.__file__).parent.parent), child_env.get("PYTHONPATH"))))
+    child_env.update(env)
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_import_starts_no_blas_thread():
+    run_fresh("import oswr, os; n = len(os.listdir('/proc/self/task')); assert n == 1, n")
+
+
+def test_import_leaves_no_thread_variable():
+    run_fresh("import oswr, os; assert 'OPENBLAS_NUM_THREADS' not in os.environ")
+
+
+def test_user_thread_count_is_kept():
+    run_fresh("import oswr, os; v = os.environ['OPENBLAS_NUM_THREADS']; assert v == '3', v",
+              OPENBLAS_NUM_THREADS="3")
+
+
+def test_numpy_imported_first_leaves_environment_untouched():
+    run_fresh("import os; before = dict(os.environ); import numpy; import oswr; "
+              "assert dict(os.environ) == before")
