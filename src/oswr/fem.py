@@ -7,15 +7,17 @@ a prefactored no-pivot LU (the systems assembled here are strictly
 diagonally dominant).  Loads and boundary data are evaluated at the new
 time level (fully implicit).
 
-Every solve with data, Dirichlet or Robin, goes through one path
-(``_solve``) without a loop over time levels: one block solve gives its
-one-step propagator and every level's forcing, and the affine recurrence
-between levels runs in blocks of levels.  ``solve_monolithic`` takes
-Dirichlet data at both ends; ``solve_subdomain_robin`` takes Robin data
+Every solve with data is ``solve_subdomain_robin``, without a loop over
+time levels: one block solve gives its one-step propagator and every
+level's forcing, and the affine recurrence between levels runs in blocks
+of levels.  Its ``left`` and ``right`` ends each take Dirichlet data or
+Robin data
 
-    nu * du/dn + sigma * u = g_R   (outward normal n)
+    nu * du/dn + sigma * u = g_R   (outward normal n),
 
-at either end.  Inside the module a solve's ends are the pair
+and the argument position says which end a datum belongs to.
+``solve_monolithic`` is that solve with the problem's Dirichlet data at
+both ends.  Inside the module a solve's ends are the pair
 (sigma_left, sigma_right), None at a Dirichlet end, and
 ``robin_impulse_responses`` takes that pair too.  For domain
 decomposition two extra ingredients are provided: the response of a
@@ -259,16 +261,15 @@ class RobinBoundaryData:
     """Robin data nu*du/dn + sigma*u = g_R at one end.
 
     ``values[k]`` is g_R at time level k + 1 (levels 1..n_steps; the level-0
-    state is the initial condition and needs no boundary data).
+    state is the initial condition and needs no boundary data).  Which end
+    the data belong to is the argument position they are passed in to
+    ``solve_subdomain_robin``.
     """
 
-    side: str
     sigma: float
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.side not in ("left", "right"):
-            raise ValueError("side must be 'left' or 'right'")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
             raise ValueError("sigma must be positive and finite")
         values = np.array(self.values, dtype=float)
@@ -423,18 +424,23 @@ def _propagator_solve(
     return np.ascontiguousarray(solved[:, :n_nodes]), solved[:, n_nodes:]
 
 
-def _solve(problem: HeatProblem, mesh: Mesh1D, left, right) -> SpaceTimeField:
+def solve_subdomain_robin(problem: HeatProblem, mesh: Mesh1D, left, right) -> SpaceTimeField:
     """Backward Euler solve with Dirichlet or Robin data at each end.
 
     ``left`` and ``right`` are a Dirichlet value (constant or function of
-    time) or RobinBoundaryData.  Step k solves A u_k = B u_{k-1} + c_k:
-    A = M + dt*K with the Dirichlet identity row or dt*sigma added on the
-    diagonal at each end, B = M with its Dirichlet rows zeroed, and
-    c_k = dt * M f(t_k) plus dt * g_R(t_k) in a Robin end's entry and with
-    g(t_k) in a Dirichlet end's.  So u_k = P u_{k-1} + a_k with
-    P = A^{-1} B and a_k = A^{-1} c_k, and one block solve of
-    [B | c_1 ... c_N] gives P and every a_k.  The levels then come from
-    ``_affine_levels`` without a loop over them.
+    time) or RobinBoundaryData with one value per level 1..n_steps.  In the
+    Robin case the natural boundary term is eliminated with
+    nu*du/dn = g_R - sigma*u, which adds sigma to the boundary diagonal and
+    g_R at the new time level to the boundary load; the flux at that end is
+    therefore g_R - sigma*u.
+
+    Step k solves A u_k = B u_{k-1} + c_k: A = M + dt*K with the Dirichlet
+    identity row or dt*sigma added on the diagonal at each end, B = M with
+    its Dirichlet rows zeroed, and c_k = dt * M f(t_k) plus dt * g_R(t_k)
+    in a Robin end's entry and with g(t_k) in a Dirichlet end's.  So
+    u_k = P u_{k-1} + a_k with P = A^{-1} B and a_k = A^{-1} c_k, and one
+    block solve of [B | c_1 ... c_N] gives P and every a_k.  The levels
+    then come from ``_affine_levels`` without a loop over them.
     """
     ends = tuple(d.sigma if isinstance(d, RobinBoundaryData) else None for d in (left, right))
     mass, A = _step_operators(problem, mesh, ends)
@@ -445,7 +451,12 @@ def _solve(problem: HeatProblem, mesh: Mesh1D, left, right) -> SpaceTimeField:
         loads = dt * mass.matvec(np.array([problem.source_nodal(mesh, t) for t in times]))
     for idx, data, sigma in zip((0, -1), (left, right), ends):
         if sigma is None:
-            loads[:, idx] = [_as_time_function(data)(t) for t in times]
+            g = _as_time_function(data)
+            loads[:, idx] = [g(t) for t in times]
+        elif data.values.size != problem.n_steps:
+            raise ValueError(
+                f"Robin series has {data.values.size} entries, need {problem.n_steps}"
+            )
         else:
             loads[:, idx] += dt * data.values
     power, forcing = _propagator_solve(mass, A, ends, loads.T)
@@ -461,12 +472,13 @@ def solve_monolithic(problem: HeatProblem, mesh: Mesh1D) -> SpaceTimeField:
     """Backward Euler solve with the problem's Dirichlet values at both ends.
 
     The diffusion breakpoints must lie inside the domain; the solve is
-    ``_solve`` with ``problem.bc_left`` and ``problem.bc_right``.
+    ``solve_subdomain_robin`` with ``problem.bc_left`` and
+    ``problem.bc_right``.
     """
     for bp in problem.diffusion.breakpoints:
         if not (mesh.a < bp < mesh.b):
             raise ValueError(f"diffusion breakpoint {bp} outside the domain interior")
-    return _solve(problem, mesh, problem.bc_left, problem.bc_right)
+    return solve_subdomain_robin(problem, mesh, problem.bc_left, problem.bc_right)
 
 
 def _affine_levels(power: np.ndarray, forcing: np.ndarray, start: np.ndarray) -> np.ndarray:
@@ -512,34 +524,6 @@ def _affine_levels(power: np.ndarray, forcing: np.ndarray, start: np.ndarray) ->
         state = np.einsum("mj,ij->mi", state, power) + forcing[:, i]
         forcing[:, i] = state
     return padded[:n_levels]
-
-
-def solve_subdomain_robin(
-    problem: HeatProblem,
-    mesh: Mesh1D,
-    left,
-    right,
-) -> SpaceTimeField:
-    """Backward Euler solve with Dirichlet or Robin data at each end.
-
-    ``left`` and ``right`` are either a Dirichlet value (constant or
-    function of time) or RobinBoundaryData for that side with one value per
-    level 1..n_steps.  In the Robin case the natural boundary term is
-    eliminated with nu*du/dn = g_R - sigma*u, which adds sigma to the
-    boundary diagonal and g_R at the new time level to the boundary load;
-    the flux at that end is therefore g_R - sigma*u.  The solve is
-    ``_solve``, the path of ``solve_monolithic``: with Dirichlet data at
-    both ends the two give the same values bit for bit.
-    """
-    for side, data in (("left", left), ("right", right)):
-        if isinstance(data, RobinBoundaryData):
-            if data.side != side:
-                raise ValueError(f"Robin data for side {data.side!r} used on {side!r}")
-            if data.values.size != problem.n_steps:
-                raise ValueError(
-                    f"Robin series has {data.values.size} entries, need {problem.n_steps}"
-                )
-    return _solve(problem, mesh, left, right)
 
 
 def robin_impulse_responses(problem: HeatProblem, mesh: Mesh1D, ends) -> np.ndarray:

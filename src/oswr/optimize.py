@@ -235,21 +235,15 @@ def optimize_v1(band: FrequencyBand, diff: DiffusionPair) -> OptimizedResult:
     case = version_i_case_data(band, mu)
     p_eq = math.sqrt(2.0 * mu * wt1 * wt2)
 
-    if case.branch == "small_mu":
+    if case.branch != "case_iii":
+        # p_eq is optimal: unique with rho* = rho(wt1) for small_mu, and for
+        # case_i when rho(wt1) reaches the interior level; otherwise (always
+        # in case_ii) a flat minimum at the interior level.
         params = TransmissionParams.version1(p_eq, diff)
-        return OptimizedResult(
-            params, rho(wt1, params, diff), "unique", case, (p_eq,)
-        )
-    if case.branch == "case_i":
-        params = TransmissionParams.version1(p_eq, diff)
-        rho_end = rho(wt1, params, diff)
-        if rho_end >= case.interior_level:
-            return OptimizedResult(params, rho_end, "unique", case, (p_eq,))
-        return OptimizedResult(
-            params, case.interior_level, "interval_of_minimizers", case, (p_eq,)
-        )
-    if case.branch == "case_ii":
-        params = TransmissionParams.version1(p_eq, diff)
+        if case.branch != "case_ii":
+            rho_end = rho(wt1, params, diff)
+            if case.branch == "small_mu" or rho_end >= case.interior_level:
+                return OptimizedResult(params, rho_end, "unique", case, (p_eq,))
         return OptimizedResult(
             params, case.interior_level, "interval_of_minimizers", case, (p_eq,)
         )

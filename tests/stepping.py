@@ -22,17 +22,18 @@ def stepped_solve(problem, mesh, left, right):
     """Step ``problem`` on ``mesh`` level by level.
 
     ``left`` and ``right`` are a Dirichlet value (constant or function of
-    time) or RobinBoundaryData, as for ``solve_subdomain_robin``.  Step k
-    solves A u_k = M u_{k-1} + dt M f(t_k), with dt * g_R(t_k) added to a
-    Robin end's entry and g(t_k) written into a Dirichlet end's.
+    time) or RobinBoundaryData for the end in that position, as for
+    ``solve_subdomain_robin``.  Step k solves
+    A u_k = M u_{k-1} + dt M f(t_k), with dt * g_R(t_k) added to a Robin
+    end's entry and g(t_k) written into a Dirichlet end's.
     """
     ends = tuple(d.sigma if isinstance(d, RobinBoundaryData) else None for d in (left, right))
     mass, A = _step_operators(problem, mesh, ends)
     dt = problem.time_step
     robin_rows, dirichlet_rows = [], []
-    for side, idx, data in (("left", 0, left), ("right", -1, right)):
+    for idx, data in zip((0, -1), (left, right)):
         if isinstance(data, RobinBoundaryData):
-            assert data.side == side and data.values.size == problem.n_steps
+            assert data.values.size == problem.n_steps
             robin_rows.append((idx, data.values))
         else:
             dirichlet_rows.append((idx, _as_time_function(data)))

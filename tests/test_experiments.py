@@ -35,10 +35,11 @@ from oswr.experiments import (
 )
 from oswr.fem import DiffusionProfile, HeatProblem, Mesh1D, solve_monolithic
 from oswr.frequency import DiffusionPair, frequency_band_from_grid, rho
-from oswr.optimize import VERSIONS, optimize, v3_bracket
+from oswr.optimize import VERSIONS, OptimizationError, optimize, v3_bracket
 from oswr.schwarz import (
     INIT_MODES,
     SWEEP_MODES,
+    IterationDiverged,
     decompose,
     interface_diffusion_pairs,
     oswr_iterate,
@@ -317,6 +318,49 @@ def test_case_runner_lets_untyped_errors_through(tmp_path, monkeypatch):
     monkeypatch.setattr("oswr.experiments.oswr_iterate", broken)
     with pytest.raises(ValueError, match="broadcast"):
         run_ratio_sweep(_small_cfg(tmp_path))
+
+
+def test_case_that_diverges_or_defeats_the_optimizer_is_a_row_error(tmp_path, monkeypatch):
+    # At ratio 16, Version II diverges and Version I's optimizer fails; both
+    # become that row's error, the run goes on and exits 0.
+    def run(name):
+        out = tmp_path / name
+        argv = ["ratio-sweep", "--out-dir", str(out), "--ratios", "4,16"]
+        argv += ["--versions", "I,II,III", "--T", "1", "--dx", "0.125", "--dt", "0.125"]
+        assert main(argv) == 0
+        return _rows_as_dicts(out / "ratio_sweep.csv")
+
+    def failing_optimize(version, band, pair):
+        if version == "I" and pair.nu1 / pair.nu2 == 16.0:
+            raise OptimizationError("no certified bracket")
+        return optimize(version, band, pair)
+
+    def diverging_iterate(problem, deco, params, **kwargs):
+        if params[0].version == "II" and problem.diffusion.values[1] == 1.0 / 16.0:
+            raise IterationDiverged("error grew by 1e3")
+        return oswr_iterate(problem, deco, params, **kwargs)
+
+    expected = run("plain")
+    monkeypatch.setattr("oswr.experiments.optimize", failing_optimize)
+    monkeypatch.setattr("oswr.experiments.oswr_iterate", diverging_iterate)
+    rows = run("failing")
+    assert [(r["ratio"], r["version"]) for r in rows] == [
+        (r["ratio"], r["version"]) for r in expected
+    ]
+    failed = {("16", "I"): "no certified bracket", ("16", "II"): "error grew by 1e3"}
+    for row, plain in zip(rows, expected):
+        message = failed.get((row["ratio"], row["version"]))
+        if message is None:
+            assert row == plain
+            continue
+        assert plain["error"] == "" and plain["iterations"] != ""
+        assert row["error"] == message
+        assert row["iterations"] == row["final_error"] == ""
+        kept = ("p", "q", "sigma1", "sigma2", "rho_star_analytic")
+        if row["version"] == "II":
+            assert all(row[key] == plain[key] != "" for key in kept)
+        else:
+            assert all(row[key] == "" for key in kept)
 
 
 def test_dt_sweep_histories(tmp_path):

@@ -293,7 +293,7 @@ def test_max_principle_extreme_ratio_warns_only():
 def test_robin_zero_data_stays_zero():
     mesh = Mesh1D.uniform(0.0, 0.5, 10)
     problem = _plain_problem(u0=0.0, T=1.0, dt=0.25)
-    zero = RobinBoundaryData("right", 1.0, np.zeros(4))
+    zero = RobinBoundaryData(1.0, np.zeros(4))
     field = solve_subdomain_robin(problem, mesh, 0.0, zero)
     assert np.all(field.values == 0.0)
     assert np.all(variational_flux(field, problem.diffusion, "right") == 0.0)
@@ -302,14 +302,10 @@ def test_robin_zero_data_stays_zero():
 def test_robin_data_validation():
     mesh = Mesh1D.uniform(0.0, 0.5, 10)
     problem = _plain_problem(u0=0.0, T=1.0, dt=0.25)
+    with pytest.raises(ValueError, match="Robin series has 3 entries, need 4"):
+        solve_subdomain_robin(problem, mesh, 0.0, RobinBoundaryData(1.0, np.zeros(3)))
     with pytest.raises(ValueError):
-        solve_subdomain_robin(problem, mesh, 0.0, RobinBoundaryData("left", 1.0, np.zeros(4)))
-    with pytest.raises(ValueError):
-        solve_subdomain_robin(problem, mesh, 0.0, RobinBoundaryData("right", 1.0, np.zeros(3)))
-    with pytest.raises(ValueError):
-        RobinBoundaryData("right", 0.0, np.zeros(4))
-    with pytest.raises(ValueError):
-        RobinBoundaryData("middle", 1.0, np.zeros(4))
+        RobinBoundaryData(0.0, np.zeros(4))
 
 
 def test_robin_reproduces_global_solution_from_manufactured_data():
@@ -322,7 +318,7 @@ def test_robin_reproduces_global_solution_from_manufactured_data():
     restriction = SpaceTimeField(sub, problem.time_step, reference.values[:, :21])
     flux = variational_flux(restriction, problem.diffusion, "right")
     for sigma in (0.3, 1.7, 12.0):
-        data = RobinBoundaryData("right", sigma, sigma * reference.values[1:, 20] + flux)
+        data = RobinBoundaryData(sigma, sigma * reference.values[1:, 20] + flux)
         field = solve_subdomain_robin(problem, sub, 0.0, data)
         assert np.abs(field.values - restriction.values).max() <= 1e-12
 
@@ -333,7 +329,7 @@ def test_robin_penalty_limit_is_dirichlet():
     times = problem.time_step * np.arange(1, problem.n_steps + 1)
     target = np.sin(times)
     sigma = 1e12
-    data = RobinBoundaryData("right", sigma, sigma * target)
+    data = RobinBoundaryData(sigma, sigma * target)
     field = solve_subdomain_robin(problem, mesh, 0.0, data)
     assert np.abs(field.values[1:, -1] - target).max() <= 1e-6
 
@@ -367,7 +363,7 @@ def test_robin_solve_matches_stepping(ratio, lumped_mass, with_source, sides, si
     times = problem.time_step * np.arange(1, problem.n_steps + 1)
     target = {"left": 4.0 + np.sin(5.0 * times), "right": 1.0 + times**2}
     ends = [
-        RobinBoundaryData(side, sigma, sigma * target[side] + 1.0) if side in sides else g
+        RobinBoundaryData(sigma, sigma * target[side] + 1.0) if side in sides else g
         for side, g in (("left", problem.bc_left), ("right", problem.bc_right))
     ]
     field = solve_subdomain_robin(problem, mesh, *ends)
@@ -395,7 +391,7 @@ def _stepped_impulse_responses(problem, mesh, sigmas):
     for hit in ("left", "right"):
         if hit in sigmas:
             ends = [
-                RobinBoundaryData(side, sigmas[side], impulse if side == hit else np.zeros(n))
+                RobinBoundaryData(sigmas[side], impulse if side == hit else np.zeros(n))
                 if side in sigmas
                 else 0.0
                 for side in ("left", "right")

@@ -123,15 +123,11 @@ def _stepping_reference(problem, deco, params, init, sweep, max_iter, tol, refer
             if j > 0:
                 sigma = params[j - 1].sigma2
                 nb = source[j - 1]
-                left = RobinBoundaryData(
-                    "left", sigma, sigma * nb["left_trace"] - nb["left_flux"]
-                )
+                left = RobinBoundaryData(sigma, sigma * nb["left_trace"] - nb["left_flux"])
             if j < n_sub - 1:
                 sigma = params[j].sigma1
                 nb = source[j]
-                right = RobinBoundaryData(
-                    "right", sigma, sigma * nb["right_trace"] - nb["right_flux"]
-                )
+                right = RobinBoundaryData(sigma, sigma * nb["right_trace"] - nb["right_flux"])
             field = stepped_solve(problem, mesh, left, right)
             fields.append(field)
             if j > 0:
@@ -169,7 +165,7 @@ def test_superposition_matches_direct_solve(rng, sides, lumped_mass):
 
     def direct_solve(series):
         ends = [
-            RobinBoundaryData(side, sigmas[side], series[side]) if side in sides else dirichlet
+            RobinBoundaryData(sigmas[side], series[side]) if side in sides else dirichlet
             for side, dirichlet in (("left", problem.bc_left), ("right", problem.bc_right))
         ]
         return solve_subdomain_robin(problem, mesh, *ends)
