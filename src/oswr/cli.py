@@ -1,15 +1,18 @@
 """Command-line harness: one subcommand per scenario plus ``run <config>``.
 
-Exit codes: 0 on success, 1 for configuration errors, 2 for runtime or
-divergence errors and for usage errors.  Flags override configuration-file
-keys and are read like them, so a malformed flag value is a configuration
-error too; the exception is a value outside the choices of ``--init`` or
-``--sweep``, which argparse rejects as a usage error.
+Exit codes: 0 on success, 1 for configuration errors (an ``out_dir`` that
+cannot be a directory among them), 2 for runtime or divergence errors,
+for errors while writing results and for usage errors.  Flags override
+configuration-file keys and are read like them, so a malformed flag value
+is a configuration error too; the exception is a value outside the
+choices of ``--init`` or ``--sweep``, which argparse rejects as a usage
+error.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .experiments import (
@@ -60,6 +63,19 @@ def _epilog() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _check_out_dir(path: str) -> None:
+    """ConfigError unless ``path`` is a directory or can be made one.
+
+    Checked before any case runs, and without creating anything, so a run
+    that fails leaves no directory behind.
+    """
+    existing = os.path.abspath(path)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"out_dir {path}: {existing} is not a directory")
+
+
 def build_parser() -> argparse.ArgumentParser:
     # The override flags, declared once and shared by every subcommand.
     flags = argparse.ArgumentParser(add_help=False)
@@ -105,12 +121,15 @@ def main(argv=None) -> int:
         reject_unread_keys(cfg.scenario, flags)
         if not cfg.out_dir:
             raise ConfigError("out_dir is required (use --out-dir)")
+        _check_out_dir(cfg.out_dir)
     except (OSError, ConfigError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     try:
         paths = run_scenario(cfg)
-    except (ScenarioError, IterationDiverged, OptimizationError, NonFiniteSolution) as exc:
+    except (
+        ScenarioError, IterationDiverged, OptimizationError, NonFiniteSolution, OSError
+    ) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
         return 2
     for path in paths:

@@ -26,25 +26,33 @@ One sweep is therefore a linear map e -> T e on the error alone
 (``_Sweep``).  It owns the layout of the error, two rows per interface,
 and reads each d_j only at its interface rows; it never writes to its
 argument, so the Gauss-Seidel and Jacobi sweeps differ only in which
-error the next subdomain reads.  ``oswr_iterate`` is the fixed-point
-loop over that map, with the stop rule and the divergence check.
+error the next subdomain reads.
+
+The sweep is also causal and time-invariant, so everything an iteration
+reads is a sum of causal convolutions of the rows of the error that the
+next sweep reads (the state: the even rows under Gauss-Seidel, whose
+odd rows are overwritten before they are read, every row under Jacobi).
+``_Kernels`` forms those kernels once per case, as the sweep's responses
+to a unit impulse in each state row, and an iteration is then one FFT of
+the state and one inverse FFT of every interface row, however many
+subdomains there are.  ``oswr_iterate`` is the fixed-point loop over
+that map, with the stop rule and the divergence check.
 
 The monolithic reference u_ref is only the yardstick, and the base of
 the merged field, which is formed only on request.  A case steps nothing
 in time: the impulse responses come from ``fem.robin_impulse_responses``,
-which powers each subdomain's one-step propagator by doubling, and an
-iteration is one FFT convolution per subdomain.  The exact discrete fixed
-point of the iteration is the monolithic solution, so the per-iteration
-error
+which powers each subdomain's one-step propagator by doubling.  The
+exact discrete fixed point of the iteration is the monolithic solution,
+so the per-iteration error
 
     e_k = max over subdomains, nodes and time levels of |d_j|
 
 is the natural convergence measure and is what the driver records.  It
 is evaluated after the sweep, from every interface row of every d_j,
-which the sweep has already formed, and the other rows whose spectral
-bound (``_SubdomainResponse``) reaches the largest value found so far;
-the rows skipped cannot change the maximum, so e_k is that of the whole
-field bit for bit.
+which the iteration has already formed, and the other rows whose spectral
+bound (``_SubdomainResponse.bound``) reaches the largest value found so
+far; the rows skipped cannot change the maximum, so e_k is that of the
+whole field bit for bit.
 """
 
 from __future__ import annotations
@@ -171,7 +179,7 @@ def combined_error(deviations) -> float:
     maximum, interface nodes on both owners.  A nan or inf entry gives a
     nan or inf result.
     """
-    return float(np.max([np.abs(dev).max() for dev in deviations]))
+    return float(functools.reduce(np.maximum, [np.abs(dev).max() for dev in deviations]))
 
 
 def interface_diffusion_pairs(
@@ -187,65 +195,104 @@ def interface_diffusion_pairs(
     ]
 
 
+def _series_product(kernels, g_hat, n_steps):
+    """Sum over inputs s of k_s * g_s mod z^n_steps, from their spectra.
+
+    ``kernels`` is indexed [input, row, bin] and ``g_hat`` [..., input,
+    bin]: the rfft of length 2 n_steps of causal series of n_steps terms.
+    Their product has 2 n_steps - 1 terms, so that length makes it a
+    linear, not a circular, convolution; the terms from n_steps on are
+    cut off.  Returns [..., row, level] for levels 1..n_steps.  The sum is
+    accumulated input by input, so a row does not depend on which other
+    rows are asked for.
+    """
+    acc = kernels[0] * g_hat[..., 0, None, :]
+    for s in range(1, len(kernels)):
+        acc += kernels[s] * g_hat[..., s, None, :]
+    return np.fft.irfft(acc, 2 * n_steps)[..., :n_steps]
+
+
 class _SubdomainResponse:
-    """The linear part H_j of one subdomain solve: Robin data to field.
+    """The linear part H_j of one subdomain solve, as causal kernels on its inputs.
 
     Backward Euler with a fixed system matrix is linear and time-invariant
-    in the Robin series.  So two solves whose Robin data differ by a series
-    ``e`` at each Robin end differ by H_j e: per Robin end, the causal
-    convolution of ``e`` with the response to the unit impulse
-    ``[1, 0, ..., 0]`` at that end.  ``_Sweep`` applies it to the
-    subdomain's rows of the Robin-data error g - g*, which gives the
-    subdomain's deviation from the monolithic reference: its interface
-    rows for the exchange, the others only for the error, and the whole
-    deviation only for the merged field.  The subdomain's ends are the
-    pair (sigma_left, sigma_right), None at a Dirichlet end.  The impulse
-    responses come from ``fem.robin_impulse_responses`` as one array
-    indexed [Robin end (left first), node, level] (one assembly and one
-    propagator for all Robin ends of the subdomain, no time loop); the
-    convolutions are evaluated with FFTs of length 2 * n_steps, which
-    makes them exact linear (not circular) convolutions: one rfft of the
-    Robin series (``transform``) and one irfft per node asked for
-    (``rows``).  ``spectra[r, i]`` is the DFT of node i's response to an
-    impulse at Robin end r, the rfft of that array along its levels.
+    in the Robin series.  So two solves whose data differ by series x_s
+    in their inputs differ, at node i, by sum_s k_is * x_s mod z^n_steps,
+    with k_is the response of node i to the unit impulse ``[1, 0, ...,
+    0]`` in input s.  ``spectra[s, i]`` is the rfft of length 2 n_steps of
+    k_is (``_series_product``).  As built, the inputs are the subdomain's
+    Robin ends, left first, and the kernels come from
+    ``fem.robin_impulse_responses`` as one array indexed [Robin end, node,
+    level] (one assembly and one propagator for all Robin ends of the
+    subdomain, no time loop).  ``_Sweep`` applies it to the subdomain's
+    rows of the Robin-data error g - g*, which gives the subdomain's
+    deviation from the monolithic reference: one rfft of the Robin series
+    (``transform``) and one irfft per node asked for (``rows``).  The
+    subdomain's ends are the pair (sigma_left, sigma_right), None at a
+    Dirichlet end; its interface rows are its Robin-end nodes.
+    ``rebase`` makes rows of the sweep's state its inputs (``_Kernels``).
 
-    ``bound`` gives, for every node i, B_i = sum_r sum_theta c_theta
-    |spectra[r, i, theta]| |g_hat[r, theta]| / (2 n_steps), with c_theta
-    = 1 at theta = 0 and n_steps and 2 otherwise.  The inverse real DFT
-    of length 2 n_steps is a c_theta-weighted sum of the spectrum over its
-    n_steps + 1 bins, divided by 2 n_steps, so B_i >= max_t |d_i[t]|.
+    ``bound`` gives, for every inner node i (not an interface row),
+    B_i = sum_s sum_theta c_theta |spectra[s, i, theta]| |x_hat[s, theta]|
+    / (2 n_steps), with c_theta = 1 at theta = 0 and n_steps and 2
+    otherwise.  The inverse real DFT of length 2 n_steps is a
+    c_theta-weighted sum of the spectrum over its n_steps + 1 bins,
+    divided by 2 n_steps, so B_i >= max_t |d_i[t]|.  Its weights are
+    formed on the first call, from the kernels as they are then.
     """
 
     def __init__(self, problem: HeatProblem, mesh: Mesh1D, ends):
         """``ends`` is (sigma_left, sigma_right), None at a Dirichlet end."""
         self.n_steps = n = problem.n_steps
         self.spectra = np.fft.rfft(robin_impulse_responses(problem, mesh, ends), 2 * n)
-        bins = np.full(n + 1, 1.0 / n)
-        bins[[0, -1]] = 0.5 / n
-        self._weights = np.abs(self.spectra) * bins
         # The Robin-end nodes, left end first: the rows the exchange reads.
         self.interface_rows = [i for i, s in zip((0, mesh.n_nodes - 1), ends) if s is not None]
+        self.inner_rows = slice(ends[0] is not None, mesh.n_nodes - (ends[1] is not None))
 
     def transform(self, series: np.ndarray) -> np.ndarray:
-        """Spectrum of one series per Robin end (rows, left end first)."""
+        """Spectrum of one series per input (the last axis but one)."""
         return np.fft.rfft(series, 2 * self.n_steps)
 
-    def bound(self, g_hat: np.ndarray) -> np.ndarray:
-        """Per node, B_i >= max_t |d_i[t]| for the spectrum ``g_hat`` (class doc)."""
-        return np.einsum("rit,rt->i", self._weights, np.abs(g_hat))
-
     def rows(self, g_hat: np.ndarray, nodes=slice(None)) -> np.ndarray:
-        """H_j applied to the spectrum ``g_hat``, at ``nodes`` (rows) by levels 1..n_steps.
+        """H_j applied to the input spectrum ``g_hat``, at ``nodes`` by levels 1..n_steps.
 
-        Each node's row is its own inverse transform, so a row does not
-        depend on which other nodes are asked for.
+        ``g_hat`` is indexed [..., input, bin]; each node's row is its own
+        inverse transform, so a row does not depend on which other nodes
+        are asked for.
+        """
+        return _series_product(self.spectra[:, nodes], g_hat, self.n_steps)
+
+    def rebase(self, g_hat: np.ndarray) -> None:
+        """Make new series y_s the inputs: the kernels become H_j's responses to them.
+
+        ``g_hat[s, e]`` is the spectrum of what Robin end e receives for a
+        unit impulse in y_s.  Node i's new kernel on y_s is
+        sum_e k_ie * g_se mod z^n_steps, a series of n_steps terms again.
+        It is built a block of nodes at a time, in place of ``spectra``
+        when the number of inputs does not change, so the temporaries stay
+        at a few MB on any grid.
         """
         n = self.n_steps
-        spectra = self.spectra[:, nodes]
-        acc = spectra[0] * g_hat[0]
-        for spectrum, g in zip(spectra[1:], g_hat[1:]):
-            acc += spectrum * g
-        return np.fft.irfft(acc, 2 * n)[:, :n]
+        n_nodes, n_bins = self.spectra.shape[1:]
+        kernels = self.spectra
+        if len(g_hat) != len(kernels):
+            kernels = np.empty((len(g_hat), n_nodes, n_bins), dtype=complex)
+        block = max(1, 2**14 // (len(g_hat) * n))
+        for start in range(0, n_nodes, block):
+            nodes = slice(start, start + block)
+            kernels[:, nodes] = self.transform(self.rows(g_hat, nodes))
+        self.spectra = kernels
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        weights = np.abs(self.spectra[:, self.inner_rows])
+        weights *= np.full(self.n_steps + 1, 1.0 / self.n_steps)
+        weights[..., [0, -1]] *= 0.5
+        return weights
+
+    def bound(self, abs_g_hat: np.ndarray) -> np.ndarray:
+        """Per inner node, B_i >= max_t |d_i[t]| for the input spectra's moduli (class doc)."""
+        return np.einsum("sit,st->i", self._weights, abs_g_hat)
 
 
 class _Sweep:
@@ -307,37 +354,108 @@ class _Sweep:
             delta[2 * i + 1] = self.sigmas[2 * i + 1] * miss + flux
         return delta
 
-    def apply(self, delta: np.ndarray) -> tuple[np.ndarray, list, list]:
-        """T delta, each subdomain's series spectrum and its interface rows.
+    def apply(self, delta: np.ndarray) -> tuple[np.ndarray, list]:
+        """T delta and each subdomain's series spectrum.
 
-        Only the interface rows of each deviation are inverse-transformed,
-        and ``delta`` is only read.
+        ``delta`` is indexed [..., row, level]: leading axes are a batch of
+        errors, swept at once.  Only the interface rows of each deviation
+        are inverse-transformed, and ``delta`` is only read.
         """
         out = delta.copy()
         source = out if self.gauss_seidel else delta
-        g_hats, ends_devs = [], []
+        g_hats = []
         for response, rows in zip(self.responses, self.rows):
-            series = source[rows]
+            series = source[..., rows, :]
             g_hats.append(response.transform(series))
-            ends_devs.append(response.rows(g_hats[-1], response.interface_rows))
-            out[rows ^ 1] = self.sums[rows] * ends_devs[-1] - series
-        return out, g_hats, ends_devs
+            ends = response.rows(g_hats[-1], response.interface_rows)
+            out[..., rows ^ 1, :] = self.sums[rows] * ends - series
+        return out, g_hats
 
-    def error(self, g_hats, ends_devs) -> float:
+
+class _Kernels:
+    """The sweep as causal kernels on its state: one transform pair per iteration.
+
+    The state is the rows of the error that the next sweep reads from
+    this one: the even rows under Gauss-Seidel, whose odd rows are
+    written before they are read, and every row under Jacobi.  Subdomain
+    j depends on the state rows ``windows[j]``: under Jacobi its own rows
+    2j - 1 and 2j, which are its inputs, so its spectra are its kernels;
+    under Gauss-Seidel rows 0..j of the state (error rows 0, 2, ..., 2j),
+    a triangle.  There every subdomain but the first reads an odd row, so
+    it is re-based on its window (``_SubdomainResponse.rebase``) with the
+    sweep's responses to a unit impulse ``[1, 0, ..., 0]`` in each state
+    row, from one ``_Sweep.apply`` of all those impulses at once.  The
+    sweep's responses are taken over, so it is not applied again.
+
+    ``columns[s]`` is (r, k): k holds the interface-row kernels on state
+    row s of the error rows r, r + 1, ... that row s reaches (a
+    contiguous run: the subdomains of a window are consecutive), indexed
+    like the error, so row r is the deviation at the end that error row
+    r feeds.  ``apply`` sums them into every interface row's spectrum and
+    forms the next state from those rows by the exchange; ``error`` adds
+    the inner rows whose bound reaches the running peak.
+    """
+
+    def __init__(self, sweep: _Sweep):
+        self.n_steps = n = sweep.problem.n_steps
+        self.gauss_seidel = sweep.gauss_seidel
+        self.sums = sweep.sums
+        n_rows = len(sweep.sigmas)
+        self.exchange = np.arange(n_rows) ^ 1
+        self.state_rows = np.arange(0, n_rows, 2) if self.gauss_seidel else np.arange(n_rows)
+        n_state = len(self.state_rows)
+        self.responses = sweep.responses
+        if self.gauss_seidel:
+            self.windows = [slice(0, min(j + 1, n_state)) for j in range(len(sweep.rows))]
+            impulses = np.zeros((n_state, n_rows, n))
+            impulses[np.arange(n_state), self.state_rows, 0] = 1.0
+            g_hats = sweep.apply(impulses)[1]
+            del impulses
+            for j in range(1, len(g_hats)):
+                self.responses[j].rebase(g_hats[j][self.windows[j]])
+                g_hats[j] = None  # only the kernels are kept
+        else:
+            self.windows = [slice(rows[0], rows[-1] + 1) for rows in sweep.rows]
+
+        self.columns = []
+        for s in range(n_state):
+            reached = [
+                (rows[0], response.spectra[s - window.start][response.interface_rows])
+                for response, window, rows in zip(self.responses, self.windows, sweep.rows)
+                if window.start <= s < window.stop
+            ]
+            self.columns.append((reached[0][0], np.concatenate([k for _, k in reached])))
+
+    def apply(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The next state, the state's spectrum and every interface row, indexed like the error."""
+        n = self.n_steps
+        s_hat = np.fft.rfft(state, 2 * n)
+        ends_hat = np.zeros((len(self.sums), n + 1), dtype=complex)
+        for (first, kernels), row in zip(self.columns, s_hat):
+            ends_hat[first : first + len(kernels)] += kernels * row
+        devs = np.fft.irfft(ends_hat, 2 * n)[:, :n]
+        exchanged = self.sums * devs
+        if self.gauss_seidel:
+            odd = exchanged[0::2] - state
+            return exchanged[1::2] - odd, s_hat, devs
+        return (exchanged - state)[self.exchange], s_hat, devs
+
+    def error(self, s_hat: np.ndarray, devs: np.ndarray) -> float:
         """max |d_j| over every subdomain, node and level, from the rows that can hold it.
 
-        The running peak starts from every interface row; another row is
+        The running peak starts from every interface row; an inner row is
         inverse-transformed only when its bound reaches the peak, and a
         row whose bound is not finite is never skipped.
         """
-        candidates = list(ends_devs)
-        peak = max(np.abs(dev).max() for dev in ends_devs)
-        for response, g_hat in zip(self.responses, g_hats):
-            reach = ~(_BOUND_MARGIN * response.bound(g_hat) < peak)
-            reach[response.interface_rows] = False
-            inner = np.flatnonzero(reach)
-            if inner.size:
-                candidates.append(response.rows(g_hat, inner))
+        candidates = [devs]
+        peak = np.abs(devs).max()
+        abs_hat = np.abs(s_hat)
+        for response, window in zip(self.responses, self.windows):
+            bound = _BOUND_MARGIN * response.bound(abs_hat[window])
+            # max() is nan if any bound is, and nan is never below the peak.
+            if not bound.max() < peak:
+                nodes = response.inner_rows.start + np.flatnonzero(~(bound < peak))
+                candidates.append(response.rows(s_hat[window], nodes))
                 peak = max(peak, np.abs(candidates[-1]).max())
         return combined_error(candidates)
 
@@ -372,15 +490,18 @@ def oswr_iterate(
     None); it is the error's yardstick and the base of the merged field,
     so it must be that solution.
 
-    Each sweep inverse-transforms the deviations' interface rows; the
-    error evaluation after it starts from their largest value and adds
-    the other rows whose bound reaches the largest value found so far; a
-    row whose bound is not finite is never skipped.  numpy's ``irfft`` of
-    a subset of rows equals those rows of the whole batch, so the interface
-    values and the error are those of the whole field bit for bit.  Only
-    the merge function transforms whole deviations, from each subdomain's
-    last spectrum, and only when called; it keeps those spectra alive as
-    long as it lives.
+    An iteration works on the state that the next sweep reads (the even
+    rows of the error under Gauss-Seidel, all rows under Jacobi) through
+    the kernels ``_Kernels`` forms once per case: one rfft of the state,
+    the kernel products and one irfft of every interface row, from which
+    the exchange forms the next state.  The error evaluation after it starts
+    from the interface rows' largest value and adds the inner rows whose
+    bound reaches the largest value found so far; a row whose bound is
+    not finite is never skipped.  numpy's ``irfft`` of a subset of rows
+    equals those rows of the whole batch, so the error is that of the
+    whole field bit for bit.  Only the merge function transforms whole
+    deviations, from the kernels and the last state's spectrum, and only
+    when called; it keeps the kernels alive as long as it lives.
 
     Stops once the error against the monolithic solution drops to ``tol``.
     Raises IterationDiverged if the error exceeds 1e6 times the first
@@ -405,14 +526,15 @@ def oswr_iterate(
     if reference is None:
         reference = solve_monolithic(problem, decomposition.global_mesh)
     sweeps = _Sweep(problem, decomposition, params, sweep)
+    kernels = _Kernels(sweeps)
     errors: list[float] = []
     # Data near the double limit overflow to inf or nan; the finiteness
     # check below reports that, with no warning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        delta = sweeps.initial(init, reference)
+        state = sweeps.initial(init, reference)[kernels.state_rows]
         for k in range(1, max_iter + 1):
-            delta, g_hats, ends_devs = sweeps.apply(delta)
-            err = sweeps.error(g_hats, ends_devs)
+            state, s_hat, devs = kernels.apply(state)
+            err = kernels.error(s_hat, devs)
             if not math.isfinite(err):
                 raise NonFiniteSolution(f"iterate {k} is not finite")
             errors.append(err)
@@ -424,24 +546,27 @@ def oswr_iterate(
                     f"error {errors[0]} at iteration {k}"
                 )
 
-    for response in sweeps.responses:
-        del response._weights  # the merge keeps the responses; it reads only their spectra
-    merge = functools.partial(_combine_fields, sweeps.responses, g_hats, decomposition, reference)
+    for response in kernels.responses:
+        vars(response).pop("_weights", None)  # the merge reads only the kernels
+    merge = functools.partial(
+        _combine_fields, kernels.responses, kernels.windows, s_hat, decomposition, reference
+    )
     return ConvergenceHistory(tuple(errors), tol, k if err <= tol else None, max_iter), merge
 
 
 def _combine_fields(
-    responses, g_hats, decomposition: Decomposition, reference: SpaceTimeField
+    responses, windows, s_hat, decomposition: Decomposition, reference: SpaceTimeField
 ) -> SpaceTimeField:
     """The reference plus each subdomain's deviation, averaged at interface nodes.
 
-    Subdomain j's deviation is ``responses[j]`` applied to its spectrum
-    ``g_hats[j]``, transformed in whole here and nowhere else.
+    Subdomain j's deviation is its kernels ``responses[j]`` applied to its
+    window ``windows[j]`` of the state spectrum ``s_hat``, transformed in
+    whole here and nowhere else.
     """
     total = np.zeros_like(reference.values[1:])
     weight = np.zeros(decomposition.global_mesh.n_nodes)
-    for response, g_hat, (lo, hi) in zip(responses, g_hats, decomposition.node_ranges):
-        total[:, lo:hi] += response.rows(g_hat).T
+    for response, window, (lo, hi) in zip(responses, windows, decomposition.node_ranges):
+        total[:, lo:hi] += response.rows(s_hat[window]).T
         weight[lo:hi] += 1.0
     values = reference.values.copy()
     values[1:] += total / weight

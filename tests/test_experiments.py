@@ -1367,6 +1367,30 @@ def test_data_near_the_double_limit_end_typed_with_no_warning(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("nested", [False, True], ids=["a-file", "below-a-file"])
+def test_out_dir_that_cannot_be_a_directory_is_a_config_error(tmp_path, capsys, nested):
+    # An existing file, or a path below one, as out_dir ended in a
+    # FileExistsError or NotADirectoryError traceback after every case had run.
+    blocker = tmp_path / "file"
+    blocker.write_text("kept\n")
+    out = blocker / "sub" if nested else blocker
+    argv = ["ratio-sweep", "--ratios", "10", "--versions", "III", "--out-dir", str(out)]
+    assert main(argv) == 1
+    message = f"config error: out_dir {out}: {blocker} is not a directory\n"
+    assert capsys.readouterr().err == message
+    assert blocker.read_text() == "kept\n"
+
+
+def test_a_write_that_fails_is_a_runtime_error(tmp_path, capsys):
+    # The name of the output file is taken by a directory.
+    out = tmp_path / "out"
+    (out / "ratio_sweep.csv").mkdir(parents=True)
+    argv = ["ratio-sweep", "--ratios", "10", "--versions", "III", "--out-dir", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ") and "ratio_sweep.csv" in err
+
+
 def test_version_iii_converges_at_a_jump_of_1e200(tmp_path):
     # The bisection's residual, of order mu**-4, underflowed to 0 at the
     # bracket ends beyond a ratio of about 1.5e154, and the left end came out.

@@ -22,7 +22,7 @@ import pytest
 import oswr.schwarz as schwarz
 from oswr.cli import main
 from oswr.fem import DiffusionProfile, HeatProblem, Mesh1D, solve_monolithic
-from oswr.frequency import frequency_band_from_grid
+from oswr.frequency import TransmissionParams, frequency_band_from_grid
 from oswr.optimize import optimize
 from oswr.schwarz import decompose, interface_diffusion_pairs, oswr_iterate
 
@@ -32,10 +32,10 @@ def _unpruned(monkeypatch):
     rows = schwarz._SubdomainResponse.rows
 
     def whole_field(self, g_hat, nodes=slice(None)):
-        return rows(self, g_hat)[nodes]
+        return rows(self, g_hat)[..., nodes, :]
 
-    def no_bound(self, g_hat):
-        return np.full(self.spectra.shape[1], np.inf)
+    def no_bound(self, abs_g_hat):
+        return np.full(self.inner_rows.stop - self.inner_rows.start, np.inf)
 
     monkeypatch.setattr(schwarz._SubdomainResponse, "rows", whole_field)
     monkeypatch.setattr(schwarz._SubdomainResponse, "bound", no_bound)
@@ -55,19 +55,27 @@ def test_irfft_of_a_row_subset_is_those_rows_of_the_full_batch(rng, n_rows, n_st
 
 @pytest.mark.parametrize("sides", [("right",), ("left",), ("left", "right")])
 def test_bound_covers_every_level_of_its_row(rng, sides):
+    # The subdomain with these Robin ends in a three-subdomain split.  Its
+    # kernels are its own spectra (the first one under Gauss-Seidel, every
+    # one under Jacobi) or re-based on the state rows it depends on.
+    interfaces = (0.375, 0.625)
     problem = HeatProblem(
-        DiffusionProfile((1.0, 0.05), (0.375,)), None, 0.0, 0.0, 0.0, 2.0, 1.0 / 32.0
+        DiffusionProfile((1.0, 0.05, 0.3), interfaces), None, 0.0, 0.0, 0.0, 2.0, 1.0 / 32.0
     )
-    mesh = Mesh1D.uniform(0.0, 0.75, 24)
-    ends = tuple(1.5 if side in sides else None for side in ("left", "right"))
-    response = schwarz._SubdomainResponse(problem, mesh, ends)
-    for scale in (1e-200, 1.0, 1e200):
-        g_hat = response.transform(scale * rng.normal(size=(len(sides), problem.n_steps)))
-        deviation = response.rows(g_hat)
-        bound = response.bound(g_hat)
-        assert np.all(np.abs(deviation).max(axis=1) <= bound)
-        # Not vacuous: the bound of the largest row is within a factor 100.
-        assert bound.max() <= 100.0 * np.abs(deviation).max()
+    deco = decompose(Mesh1D.uniform(0.0, 1.0, 32), interfaces)
+    params = [TransmissionParams(1.5, 0.7, 1.0, 1.0, "custom")] * 2
+    j = {("right",): 0, ("left", "right"): 1, ("left",): 2}[sides]
+    for sweep in schwarz.SWEEP_MODES:
+        kernels = schwarz._Kernels(schwarz._Sweep(problem, deco, params, sweep))
+        response, window = kernels.responses[j], kernels.windows[j]
+        shape = (len(kernels.state_rows), problem.n_steps)
+        for scale in (1e-200, 1.0, 1e200):
+            s_hat = np.fft.rfft(scale * rng.normal(size=shape), 2 * problem.n_steps)
+            deviation = response.rows(s_hat[window])[response.inner_rows]
+            bound = response.bound(np.abs(s_hat[window]))
+            assert np.all(np.abs(deviation).max(axis=1) <= bound)
+            # Not vacuous: the bound of the largest row is within a factor 100.
+            assert bound.max() <= 100.0 * np.abs(deviation).max()
 
 
 @pytest.mark.parametrize(

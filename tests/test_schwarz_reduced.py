@@ -12,7 +12,9 @@ Robin data only.  They also pin the iteration's calls: no time stepping
 and one tridiagonal block solve per subdomain and case, one error evaluation
 per iteration, one flux recovery per interface at most; and the contract of
 one sweep (``schwarz._Sweep.apply``) as a linear map on the Robin-data
-error, which leaves its argument as it was.
+error, which leaves its argument as it was.  The iteration runs on that
+map's causal kernels (``schwarz._Kernels``); its errors are held to those
+of iterating ``_Sweep.apply`` itself.
 """
 
 import numpy as np
@@ -426,10 +428,97 @@ def test_error_finds_a_maximum_off_the_interface_rows(monkeypatch, sweep):
         return responses
 
     monkeypatch.setattr(schwarz, "robin_impulse_responses", amplified)
+    kernels = schwarz._Kernels(schwarz._Sweep(problem, deco, params, sweep))
+    state = schwarz._Sweep(problem, deco, params, sweep).initial("zero", reference)
+    state = state[kernels.state_rows]
+    for _ in range(3):
+        state, s_hat, devs = kernels.apply(state)
+        whole = max(
+            np.abs(r.rows(s_hat[w])).max() for r, w in zip(kernels.responses, kernels.windows)
+        )
+        assert whole > np.abs(devs).max()
+        assert kernels.error(s_hat, devs) == whole
+
+
+@pytest.mark.parametrize("n_steps", [1, 2, 7, 200])
+def test_series_product_is_the_truncated_convolution(rng, n_steps):
+    # One input and one row, then three inputs summed on two rows.
+    a, b = rng.normal(size=(2, n_steps))
+    spectrum = np.fft.rfft([a, b], 2 * n_steps)
+    product = schwarz._series_product(spectrum[:1, None], spectrum[1:], n_steps)
+    assert product.shape == (1, n_steps)
+    scale = np.abs(a).sum() * np.abs(b).max()
+    assert np.abs(product[0] - np.convolve(a, b)[:n_steps]).max() <= 1e-14 * scale
+    kernels, series = rng.normal(size=(2, 3, n_steps))
+    summed = schwarz._series_product(
+        np.fft.rfft(np.stack([kernels, -kernels], axis=1), 2 * n_steps),
+        np.fft.rfft(series, 2 * n_steps),
+        n_steps,
+    )
+    expected = sum(np.convolve(k, g)[:n_steps] for k, g in zip(kernels, series))
+    scale = np.abs(kernels).sum() * np.abs(series).max()
+    assert np.abs(summed - [expected, -expected]).max() <= 1e-14 * scale
+
+
+def _sweep_histories(problem, deco, params, sweep, reference, max_iter):
+    """The iteration on the time-domain sweep, kept as the reference of the kernels.
+
+    Each iterate is ``_Sweep.apply``, and its error the whole field's, from
+    every node of every subdomain's deviation.
+    """
     sweeps = schwarz._Sweep(problem, deco, params, sweep)
     delta = sweeps.initial("zero", reference)
-    for _ in range(3):
-        delta, g_hats, ends_devs = sweeps.apply(delta)
-        whole = max(np.abs(r.rows(g)).max() for r, g in zip(sweeps.responses, g_hats))
-        assert whole > max(np.abs(dev).max() for dev in ends_devs)
-        assert sweeps.error(g_hats, ends_devs) == whole
+    errors = []
+    for _ in range(max_iter):
+        delta, g_hats = sweeps.apply(delta)
+        errors.append(max(np.abs(r.rows(g)).max() for r, g in zip(sweeps.responses, g_hats)))
+    return errors
+
+
+def _check_kernel_histories(problem, deco, params, sweep, max_iter):
+    reference = solve_monolithic(problem, deco.global_mesh)
+    history, _ = oswr_iterate(
+        problem, deco, params, tol=1e-300, max_iter=max_iter, sweep=sweep, reference=reference
+    )
+    expected = _sweep_histories(problem, deco, params, sweep, reference, max_iter)
+    assert len(history.errors) == max_iter
+    assert np.abs(np.array(history.errors) - expected).max() <= 1e-12 * expected[0]
+
+
+@pytest.mark.parametrize("lumped_mass", [False, True])
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+@pytest.mark.parametrize("n_interfaces", [1, 2, 4])
+def test_kernel_histories_equal_the_time_domain_sweep(n_interfaces, sweep, lumped_mass):
+    layers, deco, params = _layered_case(n_interfaces, lumped_mass)
+    # The same layers with data: u0 = 20, and 50 at the right end.
+    problem = HeatProblem(layers.diffusion, None, 20.0, 0.0, 50.0, 1.0, 1.0 / 16.0, lumped_mass)
+    _check_kernel_histories(problem, deco, params, sweep, max_iter=12)
+
+
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+def test_kernel_histories_equal_the_time_domain_sweep_with_a_source(sweep):
+    # A source, time-dependent Dirichlet data and lumped mass.
+    problem, deco, params, _ = _three_layers(with_source=True)
+    _check_kernel_histories(problem, deco, params, sweep, max_iter=12)
+
+
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+def test_kernels_are_stored_over_the_state_rows_they_depend_on(sweep):
+    problem, deco, params = _layered_case(4, False)
+    sweeps = schwarz._Sweep(problem, deco, params, sweep)
+    spectra = [r.spectra for r in sweeps.responses]
+    kernels = schwarz._Kernels(sweeps)
+    n_state = len(kernels.state_rows)
+    for j, (response, window) in enumerate(zip(kernels.responses, kernels.windows)):
+        if sweep == "gauss_seidel":
+            # Rows 0..j of the state: a triangle.  The first subdomain's
+            # input is row 0, so its spectra are its kernels; the others
+            # are re-based.
+            assert (window.start, window.stop) == (0, min(j + 1, n_state))
+            if j == 0:
+                assert response.spectra is spectra[j]
+        else:
+            # Its own rows, which are its inputs: the spectra, not a copy.
+            assert (window.start, window.stop) == (max(2 * j - 1, 0), min(2 * j + 1, n_state))
+            assert response.spectra is spectra[j]
+        assert len(response.spectra) == window.stop - window.start
