@@ -22,21 +22,18 @@ d_j = H_j (g - g*), and the exchange keeps its form,
 
     (g - g*)_out = (sigma + sigma') * d_j,interface - (g - g*)_in.
 
-One sweep is therefore a linear map e -> T e on the error alone
-(``_Sweep``).  It owns the layout of the error, two rows per interface,
-and reads each d_j only at its interface rows; it never writes to its
-argument, so the Gauss-Seidel and Jacobi sweeps differ only in which
-error the next subdomain reads.
-
-The sweep is also causal and time-invariant, so everything an iteration
-reads is a sum of causal convolutions of the rows of the error that the
-next sweep reads (the state: the even rows under Gauss-Seidel, whose
-odd rows are overwritten before they are read, every row under Jacobi).
-``_Kernels`` forms those kernels once per case, as the sweep's responses
-to a unit impulse in each state row, and an iteration is then one FFT of
-the state and one inverse FFT of every interface row, however many
-subdomains there are.  ``oswr_iterate`` is the fixed-point loop over
-that map, with the stop rule and the divergence check.
+One sweep is therefore a linear map e -> T e on the error alone, and it
+is causal and time-invariant.  So everything an iteration reads is a sum
+of causal convolutions of the rows of the error that the next sweep reads
+(the state: the even rows under Gauss-Seidel, whose odd rows are
+overwritten before they are read, every row under Jacobi).  ``_Sweep``
+holds the map in that form.  It owns the layout of the error, two rows
+per interface, and builds the kernels once per case, under Gauss-Seidel
+subdomain by subdomain from the left, each from its left neighbor's; an
+iteration is then one FFT of the state and one inverse FFT of every
+interface row, however many subdomains there are.  ``oswr_iterate`` is
+the fixed-point loop over that map, with the stop rule and the divergence
+check.
 
 The monolithic reference u_ref is only the yardstick, and the base of
 the merged field, which is formed only on request.  A case steps nothing
@@ -224,13 +221,13 @@ class _SubdomainResponse:
     Robin ends, left first, and the kernels come from
     ``fem.robin_impulse_responses`` as one array indexed [Robin end, node,
     level] (one assembly and one propagator for all Robin ends of the
-    subdomain, no time loop).  ``_Sweep`` applies it to the subdomain's
-    rows of the Robin-data error g - g*, which gives the subdomain's
-    deviation from the monolithic reference: one rfft of the Robin series
-    (``transform``) and one irfft per node asked for (``rows``).  The
-    subdomain's ends are the pair (sigma_left, sigma_right), None at a
-    Dirichlet end; its interface rows are its Robin-end nodes.
-    ``rebase`` makes rows of the sweep's state its inputs (``_Kernels``).
+    subdomain, no time loop).  Applied to the subdomain's rows of the
+    Robin-data error g - g*, it gives the subdomain's deviation from the
+    monolithic reference: one irfft per node asked for (``rows``) of the
+    input spectra (``transform``).  The subdomain's ends are the pair
+    (sigma_left, sigma_right), None at a Dirichlet end; its interface rows
+    are its Robin-end nodes.  ``rebase`` makes rows of the sweep's state
+    its inputs (``_Sweep``).
 
     ``bound`` gives, for every inner node i (not an interface row),
     B_i = sum_s sum_theta c_theta |spectra[s, i, theta]| |x_hat[s, theta]|
@@ -296,7 +293,7 @@ class _SubdomainResponse:
 
 
 class _Sweep:
-    """One sweep of the iteration: the linear map T from one Robin-data error to the next.
+    """One sweep of the iteration, the linear map T on the Robin-data error, in kernel form.
 
     The error g - g* has two rows per interface, levels 1..n_steps.  Row
     2i goes into the right end of subdomain i, with coefficient sigma1 of
@@ -306,16 +303,42 @@ class _Sweep:
     the other side of interface r // 2.  The Gauss-Seidel sweep runs the
     subdomains left to right, each reading the left row its left neighbor
     has just written; the Jacobi sweep reads the previous error only.
+
+    The map is held as causal kernels on its state, the rows of the error
+    that the next sweep reads from this one: the even rows under
+    Gauss-Seidel, whose odd rows are written before they are read, and
+    every row under Jacobi.  Subdomain j depends on the state rows
+    ``windows[j]``.  Under Jacobi those are its own rows 2j - 1 and 2j,
+    which are its inputs, so its spectra are its kernels.  Under
+    Gauss-Seidel they are rows 0..j of the state (error rows 0, 2, ...,
+    2j), a triangle; the first subdomain's input is state row 0, and every
+    other one is re-based on its window (``_SubdomainResponse.rebase``),
+    left to right.  For a unit impulse ``[1, 0, ..., 0]`` in state row s,
+    its left end receives row 2j - 1, the exchange of its left neighbor's
+    right end: sums[2j - 2] times that neighbor's right-end kernel on s,
+    less the impulse itself when s = j - 1 (error row 2j - 2); its right
+    end, if it has one, receives state row j, the impulse itself when
+    s = j.  The neighbor's kernel is a series of n_steps terms already,
+    so this is the sweep's own arithmetic on one impulse per state row.
+
+    ``columns[s]`` is (r, k): k holds the interface-row kernels on state
+    row s of the error rows r, r + 1, ... that row s reaches (a
+    contiguous run: the subdomains of a window are consecutive), indexed
+    like the error, so row r is the deviation at the end that error row
+    r feeds.  ``apply`` sums them into every interface row's spectrum and
+    forms the next state from those rows by the exchange; ``error`` adds
+    the inner rows whose bound reaches the running peak.
     """
 
     def __init__(self, problem: HeatProblem, decomposition: Decomposition, params, sweep: str):
         self.problem, self.decomposition = problem, decomposition
+        self.n_steps = n = problem.n_steps
         self.gauss_seidel = sweep == "gauss_seidel"
         self.sigmas = np.array([s for p in params for s in (p.sigma1, p.sigma2)])
-        rows = np.arange(len(self.sigmas))
+        n_rows = len(self.sigmas)
         # Rows r and r ^ 1 are the two sides of interface r // 2.
-        self.sums = (self.sigmas + self.sigmas[rows ^ 1])[:, None]
-        self.rows = [rows[max(2 * j - 1, 0) : 2 * j + 1] for j in range(decomposition.n_subdomains)]
+        self.exchange = np.arange(n_rows) ^ 1
+        self.sums = (self.sigmas + self.sigmas[self.exchange])[:, None]
         # Subdomain j's (left, right) coefficients, from rows 2j - 1 and 2j;
         # the outer ends of the first and last subdomains are Dirichlet.
         padded = [None, *self.sigmas.tolist(), None]
@@ -323,9 +346,35 @@ class _Sweep:
             _SubdomainResponse(problem, mesh, ends)
             for mesh, ends in zip(decomposition.submeshes, zip(padded[::2], padded[1::2]))
         ]
+        # Subdomain j's first error row: the one its left end, or else its right end, reads.
+        firsts = [max(2 * j - 1, 0) for j in range(len(self.responses))]
+        if self.gauss_seidel:
+            self.state_rows = np.arange(0, n_rows, 2)
+            n_state = len(self.state_rows)
+            self.windows = [slice(0, min(j + 1, n_state)) for j in range(len(self.responses))]
+            for j, (left, response) in enumerate(zip(self.responses, self.responses[1:]), 1):
+                # What subdomain j's ends receive for an impulse in each row of its window.
+                shape = (self.windows[j].stop, len(response.interface_rows), n + 1)
+                g_hat = np.zeros(shape, dtype=complex)
+                g_hat[:j, 0] = self.sums[2 * j - 2] * left.spectra[:, -1]
+                g_hat[j - 1, 0] -= 1.0
+                g_hat[j:, 1:] = 1.0  # state row j; the last subdomain has none
+                response.rebase(g_hat)
+        else:
+            self.state_rows = np.arange(n_rows)
+            self.windows = [slice(first, min(2 * j + 1, n_rows)) for j, first in enumerate(firsts)]
+
+        self.columns = []
+        for s in range(len(self.state_rows)):
+            reached = [
+                (first, response.spectra[s - window.start][response.interface_rows])
+                for response, window, first in zip(self.responses, self.windows, firsts)
+                if window.start <= s < window.stop
+            ]
+            self.columns.append((reached[0][0], np.concatenate([k for _, k in reached])))
 
     def initial(self, init: str, reference: SpaceTimeField) -> np.ndarray:
-        """The first error g - g*.
+        """The first error g - g*, every row.
 
         Robin data are sigma * u + outward flux; the first guess takes u as
         0 (``zero``) or as u0 at the interface node (``from_initial``) and
@@ -353,78 +402,6 @@ class _Sweep:
             delta[2 * i] = self.sigmas[2 * i] * miss - flux
             delta[2 * i + 1] = self.sigmas[2 * i + 1] * miss + flux
         return delta
-
-    def apply(self, delta: np.ndarray) -> tuple[np.ndarray, list]:
-        """T delta and each subdomain's series spectrum.
-
-        ``delta`` is indexed [..., row, level]: leading axes are a batch of
-        errors, swept at once.  Only the interface rows of each deviation
-        are inverse-transformed, and ``delta`` is only read.
-        """
-        out = delta.copy()
-        source = out if self.gauss_seidel else delta
-        g_hats = []
-        for response, rows in zip(self.responses, self.rows):
-            series = source[..., rows, :]
-            g_hats.append(response.transform(series))
-            ends = response.rows(g_hats[-1], response.interface_rows)
-            out[..., rows ^ 1, :] = self.sums[rows] * ends - series
-        return out, g_hats
-
-
-class _Kernels:
-    """The sweep as causal kernels on its state: one transform pair per iteration.
-
-    The state is the rows of the error that the next sweep reads from
-    this one: the even rows under Gauss-Seidel, whose odd rows are
-    written before they are read, and every row under Jacobi.  Subdomain
-    j depends on the state rows ``windows[j]``: under Jacobi its own rows
-    2j - 1 and 2j, which are its inputs, so its spectra are its kernels;
-    under Gauss-Seidel rows 0..j of the state (error rows 0, 2, ..., 2j),
-    a triangle.  There every subdomain but the first reads an odd row, so
-    it is re-based on its window (``_SubdomainResponse.rebase``) with the
-    sweep's responses to a unit impulse ``[1, 0, ..., 0]`` in each state
-    row, from one ``_Sweep.apply`` of all those impulses at once.  The
-    sweep's responses are taken over, so it is not applied again.
-
-    ``columns[s]`` is (r, k): k holds the interface-row kernels on state
-    row s of the error rows r, r + 1, ... that row s reaches (a
-    contiguous run: the subdomains of a window are consecutive), indexed
-    like the error, so row r is the deviation at the end that error row
-    r feeds.  ``apply`` sums them into every interface row's spectrum and
-    forms the next state from those rows by the exchange; ``error`` adds
-    the inner rows whose bound reaches the running peak.
-    """
-
-    def __init__(self, sweep: _Sweep):
-        self.n_steps = n = sweep.problem.n_steps
-        self.gauss_seidel = sweep.gauss_seidel
-        self.sums = sweep.sums
-        n_rows = len(sweep.sigmas)
-        self.exchange = np.arange(n_rows) ^ 1
-        self.state_rows = np.arange(0, n_rows, 2) if self.gauss_seidel else np.arange(n_rows)
-        n_state = len(self.state_rows)
-        self.responses = sweep.responses
-        if self.gauss_seidel:
-            self.windows = [slice(0, min(j + 1, n_state)) for j in range(len(sweep.rows))]
-            impulses = np.zeros((n_state, n_rows, n))
-            impulses[np.arange(n_state), self.state_rows, 0] = 1.0
-            g_hats = sweep.apply(impulses)[1]
-            del impulses
-            for j in range(1, len(g_hats)):
-                self.responses[j].rebase(g_hats[j][self.windows[j]])
-                g_hats[j] = None  # only the kernels are kept
-        else:
-            self.windows = [slice(rows[0], rows[-1] + 1) for rows in sweep.rows]
-
-        self.columns = []
-        for s in range(n_state):
-            reached = [
-                (rows[0], response.spectra[s - window.start][response.interface_rows])
-                for response, window, rows in zip(self.responses, self.windows, sweep.rows)
-                if window.start <= s < window.stop
-            ]
-            self.columns.append((reached[0][0], np.concatenate([k for _, k in reached])))
 
     def apply(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The next state, the state's spectrum and every interface row, indexed like the error."""
@@ -492,7 +469,7 @@ def oswr_iterate(
 
     An iteration works on the state that the next sweep reads (the even
     rows of the error under Gauss-Seidel, all rows under Jacobi) through
-    the kernels ``_Kernels`` forms once per case: one rfft of the state,
+    the kernels ``_Sweep`` forms once per case: one rfft of the state,
     the kernel products and one irfft of every interface row, from which
     the exchange forms the next state.  The error evaluation after it starts
     from the interface rows' largest value and adds the inner rows whose
@@ -502,6 +479,8 @@ def oswr_iterate(
     whole field bit for bit.  Only the merge function transforms whole
     deviations, from the kernels and the last state's spectrum, and only
     when called; it keeps the kernels alive as long as it lives.
+    ``reference`` must lie on ``decomposition.global_mesh`` and on the
+    problem's time grid; a mismatch is a ValueError, raised before any work.
 
     Stops once the error against the monolithic solution drops to ``tol``.
     Raises IterationDiverged if the error exceeds 1e6 times the first
@@ -525,16 +504,25 @@ def oswr_iterate(
 
     if reference is None:
         reference = solve_monolithic(problem, decomposition.global_mesh)
+    elif not np.array_equal(reference.mesh.nodes, decomposition.global_mesh.nodes):
+        raise ValueError(
+            f"reference mesh ({reference.n_nodes} nodes) is not the decomposition's "
+            f"global mesh ({decomposition.global_mesh.n_nodes} nodes)"
+        )
+    elif (reference.n_steps, reference.time_step) != (problem.n_steps, problem.time_step):
+        raise ValueError(
+            f"reference time grid ({reference.n_steps} steps of {reference.time_step}) is not "
+            f"the problem's ({problem.n_steps} steps of {problem.time_step})"
+        )
     sweeps = _Sweep(problem, decomposition, params, sweep)
-    kernels = _Kernels(sweeps)
     errors: list[float] = []
     # Data near the double limit overflow to inf or nan; the finiteness
     # check below reports that, with no warning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        state = sweeps.initial(init, reference)[kernels.state_rows]
+        state = sweeps.initial(init, reference)[sweeps.state_rows]
         for k in range(1, max_iter + 1):
-            state, s_hat, devs = kernels.apply(state)
-            err = kernels.error(s_hat, devs)
+            state, s_hat, devs = sweeps.apply(state)
+            err = sweeps.error(s_hat, devs)
             if not math.isfinite(err):
                 raise NonFiniteSolution(f"iterate {k} is not finite")
             errors.append(err)
@@ -546,27 +534,26 @@ def oswr_iterate(
                     f"error {errors[0]} at iteration {k}"
                 )
 
-    for response in kernels.responses:
-        vars(response).pop("_weights", None)  # the merge reads only the kernels
+    spectra = [response.spectra for response in sweeps.responses]
     merge = functools.partial(
-        _combine_fields, kernels.responses, kernels.windows, s_hat, decomposition, reference
+        _combine_fields, spectra, sweeps.windows, s_hat, decomposition, reference
     )
     return ConvergenceHistory(tuple(errors), tol, k if err <= tol else None, max_iter), merge
 
 
 def _combine_fields(
-    responses, windows, s_hat, decomposition: Decomposition, reference: SpaceTimeField
+    spectra, windows, s_hat, decomposition: Decomposition, reference: SpaceTimeField
 ) -> SpaceTimeField:
     """The reference plus each subdomain's deviation, averaged at interface nodes.
 
-    Subdomain j's deviation is its kernels ``responses[j]`` applied to its
+    Subdomain j's deviation is its kernels ``spectra[j]`` applied to its
     window ``windows[j]`` of the state spectrum ``s_hat``, transformed in
     whole here and nowhere else.
     """
     total = np.zeros_like(reference.values[1:])
     weight = np.zeros(decomposition.global_mesh.n_nodes)
-    for response, window, (lo, hi) in zip(responses, windows, decomposition.node_ranges):
-        total[:, lo:hi] += response.rows(s_hat[window]).T
+    for kernels, window, (lo, hi) in zip(spectra, windows, decomposition.node_ranges):
+        total[:, lo:hi] += _series_product(kernels, s_hat[window], reference.n_steps).T
         weight[lo:hi] += 1.0
     values = reference.values.copy()
     values[1:] += total / weight

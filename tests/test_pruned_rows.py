@@ -66,7 +66,7 @@ def test_bound_covers_every_level_of_its_row(rng, sides):
     params = [TransmissionParams(1.5, 0.7, 1.0, 1.0, "custom")] * 2
     j = {("right",): 0, ("left", "right"): 1, ("left",): 2}[sides]
     for sweep in schwarz.SWEEP_MODES:
-        kernels = schwarz._Kernels(schwarz._Sweep(problem, deco, params, sweep))
+        kernels = schwarz._Sweep(problem, deco, params, sweep)
         response, window = kernels.responses[j], kernels.windows[j]
         shape = (len(kernels.state_rows), problem.n_steps)
         for scale in (1e-200, 1.0, 1e200):

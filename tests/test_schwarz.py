@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import oswr.schwarz as schwarz
 from oswr.fem import (
     DiffusionProfile,
     HeatProblem,
@@ -194,6 +195,36 @@ def test_iterate_validates_inputs():
         oswr_iterate(problem, deco, [params], tol=-1.0, reference=reference)
     with pytest.raises(ValueError):
         oswr_iterate(problem, deco, [params], max_iter=0, reference=reference)
+
+
+@pytest.mark.parametrize(
+    "nx, dt, final_time, match",
+    [
+        (20, 1.0 / 40.0, 5.0, r"reference mesh \(21 nodes\) is not the decomposition's"),
+        (40, 1.0 / 20.0, 5.0, r"time grid \(100 steps of 0.05\) is not the problem's \(200 "),
+        (40, 1.0 / 40.0, 2.5, r"time grid \(100 steps of 0.025\) is not the problem's \(200 "),
+    ],
+    ids=["other-mesh", "other-time-step", "other-window"],
+)
+def test_reference_off_the_case_grid_is_rejected_before_any_work(
+    monkeypatch, nx, dt, final_time, match
+):
+    # A reference on another grid once iterated to other counts (8 in place
+    # of 6 on another mesh) or failed in numpy broadcasting.
+    problem, mesh, deco = _reference_problem(1e3)
+    params = optimize("III", REF_BAND, DiffusionPair(1.0, 1e-3)).params
+    history, _ = oswr_iterate(problem, deco, [params], reference=solve_monolithic(problem, mesh))
+    assert history.iterations_to_tolerance == 6
+    assert history.errors[0] == pytest.approx(0.5112688426941012, rel=1e-12)
+    other = HeatProblem(problem.diffusion, None, 20.0, 0.0, 0.0, final_time, dt)
+    reference = solve_monolithic(other, Mesh1D.uniform(0.0, 1.0, nx))
+
+    def no_sweep(*args):
+        raise AssertionError("a mismatched reference must be rejected first")
+
+    monkeypatch.setattr(schwarz, "_Sweep", no_sweep)
+    with pytest.raises(ValueError, match=match):
+        oswr_iterate(problem, deco, [params], reference=reference)
 
 
 def test_monotone_error_decrease_under_sufficient_condition(rng):

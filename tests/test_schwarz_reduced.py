@@ -11,15 +11,17 @@ and variationally recovered fluxes, where ``oswr_iterate`` exchanges
 Robin data only.  They also pin the iteration's calls: no time stepping
 and one tridiagonal block solve per subdomain and case, one error evaluation
 per iteration, one flux recovery per interface at most; and the contract of
-one sweep (``schwarz._Sweep.apply``) as a linear map on the Robin-data
-error, which leaves its argument as it was.  The iteration runs on that
-map's causal kernels (``schwarz._Kernels``); its errors are held to those
-of iterating ``_Sweep.apply`` itself.
+one sweep as a linear map on the Robin-data error, which leaves its
+argument as it was.  The iteration runs on that map's causal kernels
+(``schwarz._Sweep``); its kernels and its errors are held to those of the
+sweep run subdomain by subdomain in the time domain, the reference kept in
+``tests/sweeping.py``.
 """
 
 import numpy as np
 import pytest
 from stepping import stepped_solve
+from sweeping import TimeDomainSweep
 
 import oswr.fem as fem
 import oswr.schwarz as schwarz
@@ -354,9 +356,14 @@ def test_three_layer_exact_init_is_fixed_point_with_source(sweep):
 
 
 def _layered_case(n_interfaces, lumped_mass):
-    """Up to five layers split at each layer interface, on a short window."""
-    interfaces = {1: (0.5,), 2: (0.25, 0.5), 4: (0.2, 0.4, 0.6, 0.8)}[n_interfaces]
-    layers = (1.0, 0.01, 0.001, 0.1, 1e-4)[: n_interfaces + 1]
+    """Up to nine layers split at each layer interface, on a short window."""
+    interfaces = {
+        1: (0.5,),
+        2: (0.25, 0.5),
+        4: (0.2, 0.4, 0.6, 0.8),
+        8: tuple(k / 10 for k in range(1, 9)),
+    }[n_interfaces]
+    layers = (1.0, 0.01, 0.001, 0.1, 1e-4, 0.01, 1.0, 1e-3, 0.1)[: n_interfaces + 1]
     # The sweep acts on the Robin-data error alone: no data enter it.
     problem = HeatProblem(
         DiffusionProfile(layers, interfaces), None, 0.0, 0.0, 0.0, 1.0, 1.0 / 16.0, lumped_mass
@@ -374,22 +381,31 @@ def test_sweep_is_a_linear_map_that_only_reads_its_argument(
     rng, n_interfaces, sweep, lumped_mass
 ):
     problem, deco, params = _layered_case(n_interfaces, lumped_mass)
+    reference = TimeDomainSweep(problem, deco, params, sweep)
+    n = problem.n_steps
+    _check_linear_map(rng, lambda delta: reference.apply(delta)[0], 2 * n_interfaces, n)
+    # The kernel form maps the state to the next state.
     sweeps = schwarz._Sweep(problem, deco, params, sweep)
-    x, y = rng.normal(scale=10.0, size=(2, 2 * n_interfaces, problem.n_steps))
+    _check_linear_map(rng, lambda state: sweeps.apply(state)[0], len(sweeps.state_rows), n)
+
+
+def _check_linear_map(rng, apply, n_rows, n_steps):
+    """``apply`` leaves its argument as it was, maps 0 to 0 and is linear to 1e-12."""
+    x, y = rng.normal(scale=10.0, size=(2, n_rows, n_steps))
     a = float(rng.normal())
 
-    def apply(delta):
-        kept = delta.copy()
-        result = sweeps.apply(delta)[0]
-        assert delta.tobytes() == kept.tobytes()
-        assert result.shape == delta.shape and not np.shares_memory(result, delta)
+    def checked(arg):
+        kept = arg.copy()
+        result = apply(arg)
+        assert arg.tobytes() == kept.tobytes()
+        assert result.shape == arg.shape and not np.shares_memory(result, arg)
         return result
 
-    assert np.all(apply(np.zeros_like(x)) == 0.0)
-    combined = apply(a * x + y)
+    assert np.all(checked(np.zeros_like(x)) == 0.0)
+    combined = checked(a * x + y)
     scale = np.abs(combined).max()
     assert scale > 0.0
-    assert np.abs(combined - (a * apply(x) + apply(y))).max() <= 1e-12 * scale
+    assert np.abs(combined - (a * checked(x) + checked(y))).max() <= 1e-12 * scale
 
 
 @pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
@@ -428,16 +444,15 @@ def test_error_finds_a_maximum_off_the_interface_rows(monkeypatch, sweep):
         return responses
 
     monkeypatch.setattr(schwarz, "robin_impulse_responses", amplified)
-    kernels = schwarz._Kernels(schwarz._Sweep(problem, deco, params, sweep))
-    state = schwarz._Sweep(problem, deco, params, sweep).initial("zero", reference)
-    state = state[kernels.state_rows]
+    sweeps = schwarz._Sweep(problem, deco, params, sweep)
+    state = sweeps.initial("zero", reference)[sweeps.state_rows]
     for _ in range(3):
-        state, s_hat, devs = kernels.apply(state)
+        state, s_hat, devs = sweeps.apply(state)
         whole = max(
-            np.abs(r.rows(s_hat[w])).max() for r, w in zip(kernels.responses, kernels.windows)
+            np.abs(r.rows(s_hat[w])).max() for r, w in zip(sweeps.responses, sweeps.windows)
         )
         assert whole > np.abs(devs).max()
-        assert kernels.error(s_hat, devs) == whole
+        assert sweeps.error(s_hat, devs) == whole
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 7, 200])
@@ -463,11 +478,11 @@ def test_series_product_is_the_truncated_convolution(rng, n_steps):
 def _sweep_histories(problem, deco, params, sweep, reference, max_iter):
     """The iteration on the time-domain sweep, kept as the reference of the kernels.
 
-    Each iterate is ``_Sweep.apply``, and its error the whole field's, from
-    every node of every subdomain's deviation.
+    Each iterate is ``TimeDomainSweep.apply``, and its error the whole
+    field's, from every node of every subdomain's deviation.
     """
-    sweeps = schwarz._Sweep(problem, deco, params, sweep)
-    delta = sweeps.initial("zero", reference)
+    sweeps = TimeDomainSweep(problem, deco, params, sweep)
+    delta = schwarz._Sweep(problem, deco, params, sweep).initial("zero", reference)
     errors = []
     for _ in range(max_iter):
         delta, g_hats = sweeps.apply(delta)
@@ -503,22 +518,63 @@ def test_kernel_histories_equal_the_time_domain_sweep_with_a_source(sweep):
 
 
 @pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
-def test_kernels_are_stored_over_the_state_rows_they_depend_on(sweep):
+def test_kernels_are_stored_over_the_state_rows_they_depend_on(monkeypatch, sweep):
     problem, deco, params = _layered_case(4, False)
+    built, rebased = [], []
+    init, rebase = schwarz._SubdomainResponse.__init__, schwarz._SubdomainResponse.rebase
+
+    def recorded_init(self, *args):
+        init(self, *args)
+        built.append(self.spectra)
+
+    def recorded_rebase(self, g_hat):
+        rebased.append(self)
+        rebase(self, g_hat)
+
+    monkeypatch.setattr(schwarz._SubdomainResponse, "__init__", recorded_init)
+    monkeypatch.setattr(schwarz._SubdomainResponse, "rebase", recorded_rebase)
     sweeps = schwarz._Sweep(problem, deco, params, sweep)
-    spectra = [r.spectra for r in sweeps.responses]
-    kernels = schwarz._Kernels(sweeps)
-    n_state = len(kernels.state_rows)
-    for j, (response, window) in enumerate(zip(kernels.responses, kernels.windows)):
+    n_state = len(sweeps.state_rows)
+    for j, (response, window) in enumerate(zip(sweeps.responses, sweeps.windows)):
         if sweep == "gauss_seidel":
             # Rows 0..j of the state: a triangle.  The first subdomain's
             # input is row 0, so its spectra are its kernels; the others
-            # are re-based.
+            # are re-based, once each.
             assert (window.start, window.stop) == (0, min(j + 1, n_state))
             if j == 0:
-                assert response.spectra is spectra[j]
+                assert response.spectra is built[j]
         else:
             # Its own rows, which are its inputs: the spectra, not a copy.
             assert (window.start, window.stop) == (max(2 * j - 1, 0), min(2 * j + 1, n_state))
-            assert response.spectra is spectra[j]
+            assert response.spectra is built[j]
         assert len(response.spectra) == window.stop - window.start
+    expected = sweeps.responses[1:] if sweep == "gauss_seidel" else []
+    assert rebased == expected
+
+
+@pytest.mark.parametrize("lumped_mass", [False, True])
+@pytest.mark.parametrize("n_interfaces", [1, 2, 4, 8])
+def test_gauss_seidel_kernels_are_the_time_domain_sweeps_impulse_responses(
+    n_interfaces, lumped_mass
+):
+    """Subdomain j's kernel on state row s, built left to right from its left
+    neighbor's, is its response in the time-domain sweep to a unit impulse in
+    error row 2s, at every node.  Measured: at most 4.2e-16 of the
+    subdomain's largest kernel value on levels 1..n, and 1.8e-16 above them,
+    where a series of n terms is zero; the tolerance is 1e-13."""
+    problem, deco, params = _layered_case(n_interfaces, lumped_mass)
+    n = problem.n_steps
+    sweeps = schwarz._Sweep(problem, deco, params, "gauss_seidel")
+    reference = TimeDomainSweep(problem, deco, params, "gauss_seidel")
+    impulses = np.zeros((n_interfaces, 2 * n_interfaces, n))
+    impulses[np.arange(n_interfaces), 2 * np.arange(n_interfaces), 0] = 1.0
+    g_hats = reference.apply(impulses)[1]
+    for j, (response, window) in enumerate(zip(sweeps.responses, sweeps.windows)):
+        expected = reference.responses[j].rows(g_hats[j][window])
+        kernels = np.fft.irfft(response.spectra, 2 * n)
+        assert kernels.shape == (window.stop, deco.submeshes[j].n_nodes, 2 * n)
+        scale = np.abs(expected).max()
+        assert scale > 0.0
+        # Series of n terms: the upper half is rounding only.
+        assert np.abs(kernels[..., :n] - expected).max() <= 1e-13 * scale
+        assert np.abs(kernels[..., n:]).max() <= 1e-13 * scale
