@@ -104,6 +104,14 @@ _WT_MAX = 2.0 ** 250
 # in numpy's allocation with a traceback instead of a configuration error.
 _MAX_POINTS = 10**6
 
+# A subdomain or monolithic solve holds n_nodes x (n_nodes + n_steps)
+# doubles for its block solve (the dense propagator and one load column
+# per level).  Far larger grids failed in numpy's allocation, or in a list
+# of the level times, with a traceback instead of a configuration error.
+# A run peaks at about 41 bytes per such entry (371 and 708 MB at 41 nodes
+# and 2e5 and 4e5 levels), so this keeps a run below about 1 GB.
+_MAX_SOLVE_ENTRIES = 2 * 10**7
+
 # A key's own rule, named by the words its error message uses.
 _RULES = {
     "positive": lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
@@ -465,16 +473,27 @@ def _check_root_scan_band(cfg: ExperimentConfig) -> None:
 def _fit_grid(cfg: ExperimentConfig, dx: float, dt: float) -> tuple[Mesh1D, Decomposition]:
     """Mesh and split of a grid; ConfigError unless it fits T, (0, 1) and the interfaces.
 
-    The grid's frequency band must also keep rho finite (``_check_band``).
+    The grid's frequency band must also keep rho finite (``_check_band``),
+    and its solves must fit ``_MAX_SOLVE_ENTRIES``; both are checked before
+    anything of the grid's size is allocated.
     """
-    n_steps = round(cfg.T / dt)
+    n_nodes, n_levels = 1.0 / dx + 1.0, cfg.T / dt
+    if n_nodes * (n_nodes + n_levels) > _MAX_SOLVE_ENTRIES:
+        raise ConfigError(
+            f"grid dx={dx}, dt={dt} is too large: a solve on {n_nodes:.6g} nodes and {n_levels:.6g}"
+            f" levels holds nodes x (nodes + levels) > {_MAX_SOLVE_ENTRIES:.0e} entries"
+        )
+    n_steps = round(n_levels)
     if n_steps < 1 or abs(n_steps * dt - cfg.T) > 1e-9 * cfg.T:
         raise ConfigError(f"dt={dt} does not divide T={cfg.T}")
     _check_band(cfg.T, dt)
     n_elements = round(1.0 / dx)
     if n_elements < 2 or abs(n_elements * dx - 1.0) > 1e-9:
         raise ConfigError(f"dx={dx} does not divide the unit domain")
-    mesh = Mesh1D.uniform(0.0, 1.0, n_elements)
+    try:
+        mesh = Mesh1D.uniform(0.0, 1.0, n_elements)
+    except ValueError as exc:
+        raise ConfigError(f"dx={dx} gives no mesh: {exc}") from None
     try:
         return mesh, decompose(mesh, cfg.interfaces)
     except ValueError as exc:

@@ -23,15 +23,18 @@ d_j = H_j (g - g*), and the exchange keeps its form,
     (g - g*)_out = (sigma + sigma') * d_j,interface - (g - g*)_in.
 
 One sweep is therefore a linear map e -> T e on the error alone, and it
-is causal and time-invariant.  So everything an iteration reads is a sum
-of causal convolutions of the rows of the error that the next sweep reads
-(the state: the even rows under Gauss-Seidel, whose odd rows are
+is causal and time-invariant.  So every interface row a sweep forms is a
+sum of causal convolutions of the rows of the error that the next sweep
+reads (the state: the even rows under Gauss-Seidel, whose odd rows are
 overwritten before they are read, every row under Jacobi).  ``_Sweep``
 holds the map in that form.  It owns the layout of the error, two rows
-per interface, and builds the kernels once per case, under Gauss-Seidel
-subdomain by subdomain from the left, each from its left neighbor's; an
-iteration is then one FFT of the state and one inverse FFT of every
-interface row, however many subdomains there are.  ``oswr_iterate`` is
+per interface, and builds the interface rows' kernels on the state once
+per case, under Gauss-Seidel subdomain by subdomain from the left, each
+from its left neighbor's; an iteration is then one FFT of the state and
+one inverse FFT of every interface row, however many subdomains there
+are, and under Gauss-Seidel one FFT of the odd rows the sweep wrote.
+Every other row of d_j comes from the subdomain's own impulse responses
+and its own two rows of the error the sweep read.  ``oswr_iterate`` is
 the fixed-point loop over that map, with the stop rule and the divergence
 check.
 
@@ -171,10 +174,10 @@ def combined_error(deviations) -> float:
     """Max-norm distance between the subdomain fields and the monolithic field.
 
     ``deviations`` holds arrays of subdomain field minus monolithic field
-    at time levels 1..n_steps: each subdomain's whole deviation, or, as
-    ``oswr_iterate`` passes them, the rows of it that can hold the
-    maximum, interface nodes on both owners.  A nan or inf entry gives a
-    nan or inf result.
+    at time levels 1..n_steps, one per subdomain, interface nodes on both
+    owners.  A nan or inf entry gives a nan or inf result.
+    ``oswr_iterate`` does not call it: its sweep keeps the same maximum
+    as it goes, over the rows that can hold it (``_Sweep.error``).
     """
     return float(functools.reduce(np.maximum, [np.abs(dev).max() for dev in deviations]))
 
@@ -217,8 +220,8 @@ class _SubdomainResponse:
     in their inputs differ, at node i, by sum_s k_is * x_s mod z^n_steps,
     with k_is the response of node i to the unit impulse ``[1, 0, ...,
     0]`` in input s.  ``spectra[s, i]`` is the rfft of length 2 n_steps of
-    k_is (``_series_product``).  As built, the inputs are the subdomain's
-    Robin ends, left first, and the kernels come from
+    k_is (``_series_product``).  The inputs are the subdomain's Robin
+    ends, left first, and the kernels come from
     ``fem.robin_impulse_responses`` as one array indexed [Robin end, node,
     level] (one assembly and one propagator for all Robin ends of the
     subdomain, no time loop).  Applied to the subdomain's rows of the
@@ -226,8 +229,7 @@ class _SubdomainResponse:
     monolithic reference: one irfft per node asked for (``rows``) of the
     input spectra (``transform``).  The subdomain's ends are the pair
     (sigma_left, sigma_right), None at a Dirichlet end; its interface rows
-    are its Robin-end nodes.  ``rebase`` makes rows of the sweep's state
-    its inputs (``_Sweep``).
+    are its Robin-end nodes.
 
     ``bound`` gives, for every inner node i (not an interface row),
     B_i = sum_s sum_theta c_theta |spectra[s, i, theta]| |x_hat[s, theta]|
@@ -235,7 +237,7 @@ class _SubdomainResponse:
     otherwise.  The inverse real DFT of length 2 n_steps is a
     c_theta-weighted sum of the spectrum over its n_steps + 1 bins,
     divided by 2 n_steps, so B_i >= max_t |d_i[t]|.  Its weights are
-    formed on the first call, from the kernels as they are then.
+    formed on the first call.
     """
 
     def __init__(self, problem: HeatProblem, mesh: Mesh1D, ends):
@@ -258,27 +260,6 @@ class _SubdomainResponse:
         are asked for.
         """
         return _series_product(self.spectra[:, nodes], g_hat, self.n_steps)
-
-    def rebase(self, g_hat: np.ndarray) -> None:
-        """Make new series y_s the inputs: the kernels become H_j's responses to them.
-
-        ``g_hat[s, e]`` is the spectrum of what Robin end e receives for a
-        unit impulse in y_s.  Node i's new kernel on y_s is
-        sum_e k_ie * g_se mod z^n_steps, a series of n_steps terms again.
-        It is built a block of nodes at a time, in place of ``spectra``
-        when the number of inputs does not change, so the temporaries stay
-        at a few MB on any grid.
-        """
-        n = self.n_steps
-        n_nodes, n_bins = self.spectra.shape[1:]
-        kernels = self.spectra
-        if len(g_hat) != len(kernels):
-            kernels = np.empty((len(g_hat), n_nodes, n_bins), dtype=complex)
-        block = max(1, 2**14 // (len(g_hat) * n))
-        for start in range(0, n_nodes, block):
-            nodes = slice(start, start + block)
-            kernels[:, nodes] = self.transform(self.rows(g_hat, nodes))
-        self.spectra = kernels
 
     @functools.cached_property
     def _weights(self) -> np.ndarray:
@@ -307,27 +288,30 @@ class _Sweep:
     The map is held as causal kernels on its state, the rows of the error
     that the next sweep reads from this one: the even rows under
     Gauss-Seidel, whose odd rows are written before they are read, and
-    every row under Jacobi.  Subdomain j depends on the state rows
-    ``windows[j]``.  Under Jacobi those are its own rows 2j - 1 and 2j,
-    which are its inputs, so its spectra are its kernels.  Under
-    Gauss-Seidel they are rows 0..j of the state (error rows 0, 2, ...,
-    2j), a triangle; the first subdomain's input is state row 0, and every
-    other one is re-based on its window (``_SubdomainResponse.rebase``),
-    left to right.  For a unit impulse ``[1, 0, ..., 0]`` in state row s,
-    its left end receives row 2j - 1, the exchange of its left neighbor's
-    right end: sums[2j - 2] times that neighbor's right-end kernel on s,
-    less the impulse itself when s = j - 1 (error row 2j - 2); its right
-    end, if it has one, receives state row j, the impulse itself when
-    s = j.  The neighbor's kernel is a series of n_steps terms already,
-    so this is the sweep's own arithmetic on one impulse per state row.
+    every row under Jacobi.  Only the interface rows need kernels on the
+    state: the exchange reads nothing else.  Under Jacobi a subdomain's
+    inputs are state rows, so its kernels are its own spectra at its
+    interface rows.  Under Gauss-Seidel subdomain j depends on state rows
+    0..j (error rows 0, 2, ..., 2j), and its interface-row kernels on them
+    are built left to right, each from its left neighbor's.  For a unit
+    impulse ``[1, 0, ..., 0]`` in state row s, its left end receives row
+    2j - 1, the exchange of its left neighbor's right end: sums[2j - 2]
+    times that neighbor's right-end kernel on s, less the impulse itself
+    when s = j - 1 (error row 2j - 2); its right end, if it has one,
+    receives state row j, the impulse itself when s = j.  The neighbor's
+    kernel is a series of n_steps terms already, so this is the sweep's
+    own arithmetic on one impulse per state row.
 
     ``columns[s]`` is (r, k): k holds the interface-row kernels on state
     row s of the error rows r, r + 1, ... that row s reaches (a
-    contiguous run: the subdomains of a window are consecutive), indexed
-    like the error, so row r is the deviation at the end that error row
-    r feeds.  ``apply`` sums them into every interface row's spectrum and
-    forms the next state from those rows by the exchange; ``error`` adds
-    the inner rows whose bound reaches the running peak.
+    contiguous run: the subdomains that depend on a state row are
+    consecutive), indexed like the error, so row r is the deviation at the
+    end that error row r feeds.  ``apply`` sums them into every interface
+    row's spectrum and forms the next state from those rows by the
+    exchange.  Every other row of subdomain j comes from its own spectra
+    and the spectrum of its own error rows ``windows[j]`` (2j - 1 and 2j),
+    as the sweep read them: ``error`` adds the inner rows whose bound
+    reaches the running peak, and the merged field transforms them all.
     """
 
     def __init__(self, problem: HeatProblem, decomposition: Decomposition, params, sweep: str):
@@ -346,30 +330,31 @@ class _Sweep:
             _SubdomainResponse(problem, mesh, ends)
             for mesh, ends in zip(decomposition.submeshes, zip(padded[::2], padded[1::2]))
         ]
-        # Subdomain j's first error row: the one its left end, or else its right end, reads.
-        firsts = [max(2 * j - 1, 0) for j in range(len(self.responses))]
+        # Subdomain j's error rows: those its Robin ends read, left end first.
+        self.windows = [
+            slice(max(2 * j - 1, 0), min(2 * j + 1, n_rows)) for j in range(len(self.responses))
+        ]
+        # Each subdomain's interface-row kernels on the state rows it depends on.
+        kernels = [r.spectra[:, r.interface_rows] for r in self.responses]
+        self.state_rows = np.arange(0, n_rows, 2 if self.gauss_seidel else 1)
+        state_windows = self.windows
         if self.gauss_seidel:
-            self.state_rows = np.arange(0, n_rows, 2)
-            n_state = len(self.state_rows)
-            self.windows = [slice(0, min(j + 1, n_state)) for j in range(len(self.responses))]
-            for j, (left, response) in enumerate(zip(self.responses, self.responses[1:]), 1):
-                # What subdomain j's ends receive for an impulse in each row of its window.
-                shape = (self.windows[j].stop, len(response.interface_rows), n + 1)
+            state_windows = [slice(0, min(j + 1, n_rows // 2)) for j in range(len(kernels))]
+            for j, response in enumerate(self.responses[1:], 1):
+                # What subdomain j's ends receive for an impulse in each state row 0..j.
+                shape = (state_windows[j].stop, len(response.interface_rows), n + 1)
                 g_hat = np.zeros(shape, dtype=complex)
-                g_hat[:j, 0] = self.sums[2 * j - 2] * left.spectra[:, -1]
+                g_hat[:j, 0] = self.sums[2 * j - 2] * kernels[j - 1][:, -1]
                 g_hat[j - 1, 0] -= 1.0
                 g_hat[j:, 1:] = 1.0  # state row j; the last subdomain has none
-                response.rebase(g_hat)
-        else:
-            self.state_rows = np.arange(n_rows)
-            self.windows = [slice(first, min(2 * j + 1, n_rows)) for j, first in enumerate(firsts)]
+                kernels[j] = response.transform(response.rows(g_hat, response.interface_rows))
 
         self.columns = []
         for s in range(len(self.state_rows)):
             reached = [
-                (first, response.spectra[s - window.start][response.interface_rows])
-                for response, window, first in zip(self.responses, self.windows, firsts)
-                if window.start <= s < window.stop
+                (window.start, k[s - state.start])
+                for k, window, state in zip(kernels, self.windows, state_windows)
+                if state.start <= s < state.stop
             ]
             self.columns.append((reached[0][0], np.concatenate([k for _, k in reached])))
 
@@ -404,7 +389,12 @@ class _Sweep:
         return delta
 
     def apply(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The next state, the state's spectrum and every interface row, indexed like the error."""
+        """The next state, the spectrum of the error the sweep read and every interface row.
+
+        The error the sweep read is the state under Jacobi; under
+        Gauss-Seidel its odd rows are those the sweep wrote.  Both arrays
+        are indexed like the error.
+        """
         n = self.n_steps
         s_hat = np.fft.rfft(state, 2 * n)
         ends_hat = np.zeros((len(self.sums), n + 1), dtype=complex)
@@ -412,29 +402,31 @@ class _Sweep:
             ends_hat[first : first + len(kernels)] += kernels * row
         devs = np.fft.irfft(ends_hat, 2 * n)[:, :n]
         exchanged = self.sums * devs
-        if self.gauss_seidel:
-            odd = exchanged[0::2] - state
-            return exchanged[1::2] - odd, s_hat, devs
-        return (exchanged - state)[self.exchange], s_hat, devs
+        if not self.gauss_seidel:
+            return (exchanged - state)[self.exchange], s_hat, devs
+        odd = exchanged[0::2] - state
+        e_hat = np.empty_like(ends_hat)
+        e_hat[0::2], e_hat[1::2] = s_hat, np.fft.rfft(odd, 2 * n)
+        return exchanged[1::2] - odd, e_hat, devs
 
-    def error(self, s_hat: np.ndarray, devs: np.ndarray) -> float:
+    def error(self, e_hat: np.ndarray, devs: np.ndarray) -> float:
         """max |d_j| over every subdomain, node and level, from the rows that can hold it.
 
-        The running peak starts from every interface row; an inner row is
+        ``e_hat`` is the spectrum of the error the sweep read.  The running
+        peak starts from every interface row; an inner row is
         inverse-transformed only when its bound reaches the peak, and a
-        row whose bound is not finite is never skipped.
+        row whose bound is not finite is never skipped.  A nan or inf
+        entry gives a nan or inf result.
         """
-        candidates = [devs]
         peak = np.abs(devs).max()
-        abs_hat = np.abs(s_hat)
+        abs_hat = np.abs(e_hat)
         for response, window in zip(self.responses, self.windows):
             bound = _BOUND_MARGIN * response.bound(abs_hat[window])
             # max() is nan if any bound is, and nan is never below the peak.
             if not bound.max() < peak:
                 nodes = response.inner_rows.start + np.flatnonzero(~(bound < peak))
-                candidates.append(response.rows(s_hat[window], nodes))
-                peak = max(peak, np.abs(candidates[-1]).max())
-        return combined_error(candidates)
+                peak = np.maximum(peak, np.abs(response.rows(e_hat[window], nodes)).max())
+        return float(peak)
 
 
 def oswr_iterate(
@@ -471,14 +463,16 @@ def oswr_iterate(
     rows of the error under Gauss-Seidel, all rows under Jacobi) through
     the kernels ``_Sweep`` forms once per case: one rfft of the state,
     the kernel products and one irfft of every interface row, from which
-    the exchange forms the next state.  The error evaluation after it starts
+    the exchange forms the next state (under Gauss-Seidel, one more rfft
+    of the odd rows the sweep wrote).  The error evaluation after it starts
     from the interface rows' largest value and adds the inner rows whose
-    bound reaches the largest value found so far; a row whose bound is
-    not finite is never skipped.  numpy's ``irfft`` of a subset of rows
+    bound reaches the largest value found so far, each subdomain's from
+    its own spectra and its own error rows; a row whose bound is not
+    finite is never skipped.  numpy's ``irfft`` of a subset of rows
     equals those rows of the whole batch, so the error is that of the
     whole field bit for bit.  Only the merge function transforms whole
-    deviations, from the kernels and the last state's spectrum, and only
-    when called; it keeps the kernels alive as long as it lives.
+    deviations, from the spectra and the last error's spectrum, and only
+    when called; it keeps the spectra alive as long as it lives.
     ``reference`` must lie on ``decomposition.global_mesh`` and on the
     problem's time grid; a mismatch is a ValueError, raised before any work.
 
@@ -521,8 +515,8 @@ def oswr_iterate(
     with np.errstate(over="ignore", invalid="ignore"):
         state = sweeps.initial(init, reference)[sweeps.state_rows]
         for k in range(1, max_iter + 1):
-            state, s_hat, devs = sweeps.apply(state)
-            err = sweeps.error(s_hat, devs)
+            state, e_hat, devs = sweeps.apply(state)
+            err = sweeps.error(e_hat, devs)
             if not math.isfinite(err):
                 raise NonFiniteSolution(f"iterate {k} is not finite")
             errors.append(err)
@@ -536,24 +530,24 @@ def oswr_iterate(
 
     spectra = [response.spectra for response in sweeps.responses]
     merge = functools.partial(
-        _combine_fields, spectra, sweeps.windows, s_hat, decomposition, reference
+        _combine_fields, spectra, sweeps.windows, e_hat, decomposition, reference
     )
     return ConvergenceHistory(tuple(errors), tol, k if err <= tol else None, max_iter), merge
 
 
 def _combine_fields(
-    spectra, windows, s_hat, decomposition: Decomposition, reference: SpaceTimeField
+    spectra, windows, e_hat, decomposition: Decomposition, reference: SpaceTimeField
 ) -> SpaceTimeField:
     """The reference plus each subdomain's deviation, averaged at interface nodes.
 
-    Subdomain j's deviation is its kernels ``spectra[j]`` applied to its
-    window ``windows[j]`` of the state spectrum ``s_hat``, transformed in
-    whole here and nowhere else.
+    Subdomain j's deviation is its spectra ``spectra[j]`` applied to its
+    own rows ``windows[j]`` of the error spectrum ``e_hat``, transformed
+    in whole here and nowhere else.
     """
     total = np.zeros_like(reference.values[1:])
     weight = np.zeros(decomposition.global_mesh.n_nodes)
     for kernels, window, (lo, hi) in zip(spectra, windows, decomposition.node_ranges):
-        total[:, lo:hi] += _series_product(kernels, s_hat[window], reference.n_steps).T
+        total[:, lo:hi] += _series_product(kernels, e_hat[window], reference.n_steps).T
         weight[lo:hi] += 1.0
     values = reference.values.copy()
     values[1:] += total / weight

@@ -5,6 +5,7 @@ import importlib.util
 import math
 import os
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -901,6 +902,51 @@ def test_point_counts_above_the_cap_are_config_errors(tmp_path, capsys, scenario
     assert not out.exists()
     # The cap itself is a valid count; it is validated, not run.
     ExperimentConfig(scenario=scenario, **{key: 10**6}).validate()
+
+
+@pytest.mark.parametrize(
+    "cfg, nodes, levels",
+    [
+        (ExperimentConfig(dt=1e-7, ratios=(10.0,), versions=("II",)), "41", "5e+07"),
+        (ExperimentConfig(dx=1e-4, ratios=(10.0,), versions=("II",)), "10001", "200"),
+        (ExperimentConfig(T=1e300, dt=1e-10), "41", "inf"),
+        (replace(tps_defaults(ExperimentConfig()), dt=1e-6), "101", "5e+06"),
+    ],
+    ids=["ratio-sweep-dt", "ratio-sweep-dx", "overflow", "tps-dt"],
+)
+def test_grids_too_large_to_solve_are_config_errors(cfg, nodes, levels):
+    # The first and last ended in a MemoryError from a solve's allocations,
+    # the second in the mesh check and the third in an OverflowError.
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConfigError) as caught:
+            cfg.validate()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(caught.value) == (
+        f"grid dx={cfg.dx}, dt={cfg.dt} is too large: a solve on {nodes} nodes and {levels} "
+        "levels holds nodes x (nodes + levels) > 2e+07 entries"
+    )
+    assert peak < 2**20
+
+
+def test_every_ci_grid_fits_the_solve_size_limit():
+    # The stress grid: 321 nodes and 6,400 levels.
+    ExperimentConfig(dx=0.003125, dt=0.00078125, ratios=(1e6,), versions=("III",)).validate()
+    # 1,001 nodes: 18,000 levels fit the limit, 20,000 do not.
+    ExperimentConfig(dx=0.001, T=4.5, dt=0.00025).validate()
+    with pytest.raises(ConfigError, match="too large"):
+        ExperimentConfig(dx=0.001, T=5.0, dt=0.00025).validate()
+
+
+def test_a_mesh_error_is_a_config_error(monkeypatch):
+    def no_mesh(*args):
+        raise ValueError("mesh spacing must be uniform to 1e-12 relative")
+
+    monkeypatch.setattr(Mesh1D, "uniform", no_mesh)
+    with pytest.raises(ConfigError, match="^dx=0.025 gives no mesh: mesh spacing"):
+        ExperimentConfig().validate()
 
 
 @pytest.mark.parametrize(

@@ -57,6 +57,40 @@ def test_mesh_construction_and_validation():
         Mesh1D([0.0, 0.5, 0.4])
 
 
+@pytest.mark.parametrize("n_elements", [10_000, 20_000, 100_000])
+def test_uniform_meshes_pass_their_own_check_and_a_moved_node_does_not(n_elements):
+    # np.linspace rounds each node on its own: at these counts its spacing
+    # deviates from the mean by 1e-12 of h or more.
+    mesh = Mesh1D.uniform(0.0, 1.0, n_elements)
+    assert mesh.n_elements == n_elements
+    nodes = mesh.nodes.copy()
+    nodes[n_elements // 3] += 1e-9 * mesh.dx
+    with pytest.raises(ValueError, match="uniform"):
+        Mesh1D(nodes)
+
+
+def test_element_values_select_the_layer_value_at_selects(rng):
+    """On drawn profiles and meshes, each element's value is value_at of its
+    midpoint; breakpoints lie on nodes, on the mesh ends and beyond them.  A
+    point on a breakpoint belongs to the layer right of it."""
+    for _ in range(50):
+        n_elements = int(rng.integers(2, 60))
+        mesh = Mesh1D.uniform(float(rng.uniform(-1.0, 1.0)), 2.0, n_elements)
+        n_layers = int(rng.integers(1, 6))
+        nodes = rng.choice(mesh.nodes, size=n_layers - 1, replace=False)
+        beyond = rng.uniform(0.0, 2.0, size=n_layers - 1)
+        outside = np.where(rng.random(n_layers - 1) < 0.5, mesh.a - beyond, mesh.b + beyond)
+        breakpoints = np.sort(np.where(rng.random(n_layers - 1) < 0.7, nodes, outside))
+        if len(set(breakpoints)) < len(breakpoints):
+            continue
+        profile = DiffusionProfile(tuple(10.0 ** rng.uniform(-4.0, 0.0, n_layers)), breakpoints)
+        mids = 0.5 * (mesh.nodes[:-1] + mesh.nodes[1:])
+        values = profile.element_values(mesh)
+        assert values.tolist() == [profile.value_at(x) for x in mids]
+        for k, bp in enumerate(profile.breakpoints):
+            assert profile.value_at(bp) == profile.values[k + 1]
+
+
 def test_diffusion_profile_lookup_and_validation():
     prof = DiffusionProfile((1.0, 0.01, 0.001), (0.2, 0.4))
     assert prof.value_at(0.1) == 1.0

@@ -1,8 +1,8 @@
 """Many subdomains: the measured counts, pinned (dt = 1/40, T = 5, tolerance 1e-8).
 
-Under Gauss-Seidel subdomain j depends on the first j + 1 state rows, so
-its kernels form a triangle that grows with the square of the subdomain
-count; under Jacobi each depends on its own two rows.  These runs are the
+Under Gauss-Seidel subdomain j's interface rows depend on the first j + 1
+state rows, so their kernels grow with the square of the subdomain count;
+under Jacobi each depends on its own two rows.  These runs are the
 largest splits the suite makes, on both sweeps.  With 32 layers Version III
 diverges: it ends as a typed row error, not as a crash.
 """

@@ -55,9 +55,8 @@ def test_irfft_of_a_row_subset_is_those_rows_of_the_full_batch(rng, n_rows, n_st
 
 @pytest.mark.parametrize("sides", [("right",), ("left",), ("left", "right")])
 def test_bound_covers_every_level_of_its_row(rng, sides):
-    # The subdomain with these Robin ends in a three-subdomain split.  Its
-    # kernels are its own spectra (the first one under Gauss-Seidel, every
-    # one under Jacobi) or re-based on the state rows it depends on.
+    # The subdomain with these Robin ends in a three-subdomain split.  Under
+    # both sweeps its kernels are its own spectra, on its own error rows.
     interfaces = (0.375, 0.625)
     problem = HeatProblem(
         DiffusionProfile((1.0, 0.05, 0.3), interfaces), None, 0.0, 0.0, 0.0, 2.0, 1.0 / 32.0
@@ -68,11 +67,11 @@ def test_bound_covers_every_level_of_its_row(rng, sides):
     for sweep in schwarz.SWEEP_MODES:
         kernels = schwarz._Sweep(problem, deco, params, sweep)
         response, window = kernels.responses[j], kernels.windows[j]
-        shape = (len(kernels.state_rows), problem.n_steps)
+        shape = (2 * len(interfaces), problem.n_steps)
         for scale in (1e-200, 1.0, 1e200):
-            s_hat = np.fft.rfft(scale * rng.normal(size=shape), 2 * problem.n_steps)
-            deviation = response.rows(s_hat[window])[response.inner_rows]
-            bound = response.bound(np.abs(s_hat[window]))
+            e_hat = np.fft.rfft(scale * rng.normal(size=shape), 2 * problem.n_steps)
+            deviation = response.rows(e_hat[window])[response.inner_rows]
+            bound = response.bound(np.abs(e_hat[window]))
             assert np.all(np.abs(deviation).max(axis=1) <= bound)
             # Not vacuous: the bound of the largest row is within a factor 100.
             assert bound.max() <= 100.0 * np.abs(deviation).max()

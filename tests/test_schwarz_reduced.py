@@ -258,9 +258,11 @@ def test_no_time_stepping_and_fixed_solve_count_per_case(
 @pytest.mark.parametrize("n_interfaces", [1, 2])
 def test_call_contract_of_the_iteration(monkeypatch, n_interfaces, init):
     """One error evaluation per iteration; one flux recovery per interface
-    for a guessed start and none for the exact one."""
+    for a guessed start and none for the exact one.  The sweep keeps the
+    error's running maximum itself: ``combined_error`` is not called."""
     problem, deco, params, reference = _small_case(n_interfaces)
-    errors = _counting(monkeypatch, "combined_error")
+    errors = _counting(monkeypatch, "error", schwarz._Sweep)
+    combined = _counting(monkeypatch, "combined_error")
     fluxes = _counting(monkeypatch, "variational_flux")
     for tol, max_iter in ((1e-300, 5), (1e-6, 1000)):
         errors.clear()
@@ -272,6 +274,7 @@ def test_call_contract_of_the_iteration(monkeypatch, n_interfaces, init):
         assert len(errors) == len(history.errors)
         assert len(fluxes) == (0 if init == "exact" else n_interfaces)
     assert history.converged
+    assert combined == []
 
 
 @pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
@@ -447,12 +450,12 @@ def test_error_finds_a_maximum_off_the_interface_rows(monkeypatch, sweep):
     sweeps = schwarz._Sweep(problem, deco, params, sweep)
     state = sweeps.initial("zero", reference)[sweeps.state_rows]
     for _ in range(3):
-        state, s_hat, devs = sweeps.apply(state)
+        state, e_hat, devs = sweeps.apply(state)
         whole = max(
-            np.abs(r.rows(s_hat[w])).max() for r, w in zip(sweeps.responses, sweeps.windows)
+            np.abs(r.rows(e_hat[w])).max() for r, w in zip(sweeps.responses, sweeps.windows)
         )
         assert whole > np.abs(devs).max()
-        assert sweeps.error(s_hat, devs) == whole
+        assert sweeps.error(e_hat, devs) == whole
 
 
 @pytest.mark.parametrize("n_steps", [1, 2, 7, 200])
@@ -517,39 +520,55 @@ def test_kernel_histories_equal_the_time_domain_sweep_with_a_source(sweep):
     _check_kernel_histories(problem, deco, params, sweep, max_iter=12)
 
 
-@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
-def test_kernels_are_stored_over_the_state_rows_they_depend_on(monkeypatch, sweep):
-    problem, deco, params = _layered_case(4, False)
-    built, rebased = [], []
-    init, rebase = schwarz._SubdomainResponse.__init__, schwarz._SubdomainResponse.rebase
+def _recording_spectra(monkeypatch):
+    """Record each ``_SubdomainResponse``'s spectra, and a copy, as its ``__init__`` builds them."""
+    built = []
+    init = schwarz._SubdomainResponse.__init__
 
     def recorded_init(self, *args):
         init(self, *args)
-        built.append(self.spectra)
-
-    def recorded_rebase(self, g_hat):
-        rebased.append(self)
-        rebase(self, g_hat)
+        built.append((self.spectra, self.spectra.copy()))
 
     monkeypatch.setattr(schwarz._SubdomainResponse, "__init__", recorded_init)
-    monkeypatch.setattr(schwarz._SubdomainResponse, "rebase", recorded_rebase)
+    return built
+
+
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+def test_kernels_are_stored_over_the_state_rows_they_depend_on(monkeypatch, sweep):
+    # Under both sweeps a subdomain's inner rows depend on its own error
+    # rows 2j - 1 and 2j only, its inputs: the spectra, not a copy.
+    problem, deco, params = _layered_case(4, False)
+    built = _recording_spectra(monkeypatch)
     sweeps = schwarz._Sweep(problem, deco, params, sweep)
-    n_state = len(sweeps.state_rows)
+    n_rows = 2 * len(deco.interfaces)
+    assert len(built) == len(sweeps.responses)
     for j, (response, window) in enumerate(zip(sweeps.responses, sweeps.windows)):
-        if sweep == "gauss_seidel":
-            # Rows 0..j of the state: a triangle.  The first subdomain's
-            # input is row 0, so its spectra are its kernels; the others
-            # are re-based, once each.
-            assert (window.start, window.stop) == (0, min(j + 1, n_state))
-            if j == 0:
-                assert response.spectra is built[j]
-        else:
-            # Its own rows, which are its inputs: the spectra, not a copy.
-            assert (window.start, window.stop) == (max(2 * j - 1, 0), min(2 * j + 1, n_state))
-            assert response.spectra is built[j]
+        assert (window.start, window.stop) == (max(2 * j - 1, 0), min(2 * j + 1, n_rows))
+        assert response.spectra is built[j][0]
+        assert np.array_equal(response.spectra, built[j][1])
         assert len(response.spectra) == window.stop - window.start
-    expected = sweeps.responses[1:] if sweep == "gauss_seidel" else []
-    assert rebased == expected
+
+
+@pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
+@pytest.mark.parametrize("n_interfaces", [1, 2, 4, 8])
+def test_only_the_interface_rows_have_kernels_on_the_state(monkeypatch, n_interfaces, sweep):
+    """Every subdomain keeps the impulse spectra it was built with, and the
+    sweep's kernels on the state are held for its interface rows alone: one
+    per state row it depends on (0..j under Gauss-Seidel, its own rows
+    under Jacobi) and interface row."""
+    problem, deco, params = _layered_case(n_interfaces, False)
+    built = _recording_spectra(monkeypatch)
+    sweeps = schwarz._Sweep(problem, deco, params, sweep)
+    assert len(built) == deco.n_subdomains
+    for response, (spectra, copy) in zip(sweeps.responses, built):
+        assert response.spectra is spectra and np.array_equal(spectra, copy)
+    if sweep == "gauss_seidel":
+        depends = [min(j + 1, n_interfaces) for j in range(deco.n_subdomains)]
+    else:
+        depends = [w.stop - w.start for w in sweeps.windows]
+    expected = sum(d * len(r.interface_rows) for d, r in zip(depends, sweeps.responses))
+    assert sum(len(kernels) for _, kernels in sweeps.columns) == expected
+    assert all(kernels.shape[1:] == (problem.n_steps + 1,) for _, kernels in sweeps.columns)
 
 
 @pytest.mark.parametrize("lumped_mass", [False, True])
@@ -557,11 +576,12 @@ def test_kernels_are_stored_over_the_state_rows_they_depend_on(monkeypatch, swee
 def test_gauss_seidel_kernels_are_the_time_domain_sweeps_impulse_responses(
     n_interfaces, lumped_mass
 ):
-    """Subdomain j's kernel on state row s, built left to right from its left
-    neighbor's, is its response in the time-domain sweep to a unit impulse in
-    error row 2s, at every node.  Measured: at most 4.2e-16 of the
-    subdomain's largest kernel value on levels 1..n, and 1.8e-16 above them,
-    where a series of n terms is zero; the tolerance is 1e-13."""
+    """Subdomain j's interface-row kernel on state row s, built left to right
+    from its left neighbor's, is its response in the time-domain sweep to a
+    unit impulse in error row 2s, at its Robin ends; a state row right of
+    subdomain j reaches none of its rows.  Measured: at most 4.2e-16 of
+    the subdomain's largest kernel value on levels 1..n, and 1.8e-16
+    above them, where a series of n terms is zero; the tolerance is 1e-13."""
     problem, deco, params = _layered_case(n_interfaces, lumped_mass)
     n = problem.n_steps
     sweeps = schwarz._Sweep(problem, deco, params, "gauss_seidel")
@@ -569,12 +589,17 @@ def test_gauss_seidel_kernels_are_the_time_domain_sweeps_impulse_responses(
     impulses = np.zeros((n_interfaces, 2 * n_interfaces, n))
     impulses[np.arange(n_interfaces), 2 * np.arange(n_interfaces), 0] = 1.0
     g_hats = reference.apply(impulses)[1]
-    for j, (response, window) in enumerate(zip(sweeps.responses, sweeps.windows)):
-        expected = reference.responses[j].rows(g_hats[j][window])
-        kernels = np.fft.irfft(response.spectra, 2 * n)
-        assert kernels.shape == (window.stop, deco.submeshes[j].n_nodes, 2 * n)
+    # columns, as one array indexed [state row, error row, bin].
+    spectra = np.zeros((n_interfaces, 2 * n_interfaces, n + 1), dtype=complex)
+    for s, (first, kernels) in enumerate(sweeps.columns):
+        spectra[s, first : first + len(kernels)] = kernels
+    kernels = np.fft.irfft(spectra, 2 * n)
+    for j, (response, window) in enumerate(zip(reference.responses, sweeps.windows)):
+        expected = response.rows(g_hats[j], response.interface_rows)
+        assert expected.shape == (n_interfaces, window.stop - window.start, n)
+        assert not np.any(expected[j + 1 :])
         scale = np.abs(expected).max()
         assert scale > 0.0
         # Series of n terms: the upper half is rounding only.
-        assert np.abs(kernels[..., :n] - expected).max() <= 1e-13 * scale
-        assert np.abs(kernels[..., n:]).max() <= 1e-13 * scale
+        assert np.abs(kernels[:, window, :n] - expected).max() <= 1e-13 * scale
+        assert np.abs(kernels[:, window, n:]).max() <= 1e-13 * scale
