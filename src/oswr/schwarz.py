@@ -28,15 +28,15 @@ sum of causal convolutions of the rows of the error that the next sweep
 reads (the state: the even rows under Gauss-Seidel, whose odd rows are
 overwritten before they are read, every row under Jacobi).  ``_Sweep``
 holds the map in that form.  It owns the layout of the error, two rows
-per interface, and builds the interface rows' kernels on the state once
-per case, under Gauss-Seidel subdomain by subdomain from the left, each
-from its left neighbor's; an iteration is then one FFT of the state and
-one inverse FFT of every interface row, however many subdomains there
-are, and under Gauss-Seidel one FFT of the odd rows the sweep wrote.
-Every other row of d_j comes from the subdomain's own impulse responses
-and its own two rows of the error the sweep read.  ``oswr_iterate`` is
-the fixed-point loop over that map, with the stop rule and the divergence
-check.
+per interface, and builds each subdomain's interface-row kernels once
+per case on the error rows it depends on, under Gauss-Seidel subdomain
+by subdomain from the left, each from its left neighbor's; an iteration
+is then one FFT of the state and one inverse FFT of every interface row,
+however many subdomains there are, and under Gauss-Seidel one FFT of the
+odd rows the sweep wrote.  Every other row of d_j comes from the
+subdomain's own impulse responses and its own two rows of the error the
+sweep read.  ``oswr_iterate`` is the fixed-point loop over that map,
+with the stop rule and the divergence check.
 
 The monolithic reference u_ref is only the yardstick, and the base of
 the merged field, which is formed only on request.  A case steps nothing
@@ -286,32 +286,32 @@ class _Sweep:
     has just written; the Jacobi sweep reads the previous error only.
 
     The map is held as causal kernels on its state, the rows of the error
-    that the next sweep reads from this one: the even rows under
-    Gauss-Seidel, whose odd rows are written before they are read, and
-    every row under Jacobi.  Only the interface rows need kernels on the
-    state: the exchange reads nothing else.  Under Jacobi a subdomain's
-    inputs are state rows, so its kernels are its own spectra at its
-    interface rows.  Under Gauss-Seidel subdomain j depends on state rows
-    0..j (error rows 0, 2, ..., 2j), and its interface-row kernels on them
-    are built left to right, each from its left neighbor's.  For a unit
-    impulse ``[1, 0, ..., 0]`` in state row s, its left end receives row
+    that the next sweep reads from this one (``state_rows``): the even rows
+    under Gauss-Seidel, whose odd rows are written before they are read,
+    and every row under Jacobi.  Only the interface rows need kernels on
+    the state: the exchange reads nothing else.  ``kernels[j]`` is (k,
+    rows): subdomain j's interface-row kernels k, indexed [error row,
+    interface row, bin], on the error rows ``rows`` they act on.  Under
+    Jacobi those are its own rows ``windows[j]`` (2j - 1 and 2j) and its
+    kernels are its own spectra at its interface rows.  Under Gauss-Seidel
+    subdomain j depends on the even rows 0, 2, ..., 2j, and its kernels on
+    them are built left to right, each from its left neighbor's.  For a
+    unit impulse ``[1, 0, ..., 0]`` in row 2s, its left end receives row
     2j - 1, the exchange of its left neighbor's right end: sums[2j - 2]
-    times that neighbor's right-end kernel on s, less the impulse itself
-    when s = j - 1 (error row 2j - 2); its right end, if it has one,
-    receives state row j, the impulse itself when s = j.  The neighbor's
-    kernel is a series of n_steps terms already, so this is the sweep's
-    own arithmetic on one impulse per state row.
+    times that neighbor's right-end kernel on 2s, less the impulse itself
+    when s = j - 1; its right end, if it has one, receives row 2j, the
+    impulse itself when s = j.  The neighbor's kernel is a series of
+    n_steps terms already, so this is the sweep's own arithmetic on one
+    impulse per even row.
 
-    ``columns[s]`` is (r, k): k holds the interface-row kernels on state
-    row s of the error rows r, r + 1, ... that row s reaches (a
-    contiguous run: the subdomains that depend on a state row are
-    consecutive), indexed like the error, so row r is the deviation at the
-    end that error row r feeds.  ``apply`` sums them into every interface
-    row's spectrum and forms the next state from those rows by the
-    exchange.  Every other row of subdomain j comes from its own spectra
-    and the spectrum of its own error rows ``windows[j]`` (2j - 1 and 2j),
-    as the sweep read them: ``error`` adds the inner rows whose bound
-    reaches the running peak, and the merged field transforms them all.
+    ``apply`` writes the state's spectrum into its rows of the error's
+    spectrum, sums each subdomain's kernel products over its rows into
+    its interface rows, in the error's order (row r is the deviation at
+    the end that error row r feeds), and forms the next state from those
+    rows by the exchange.  Every other row of subdomain j comes from its
+    own spectra and the spectrum of its own error rows ``windows[j]``, as
+    the sweep read them: ``error`` adds the inner rows whose bound reaches
+    the running peak, and the merged field transforms them all.
     """
 
     def __init__(self, problem: HeatProblem, decomposition: Decomposition, params, sweep: str):
@@ -334,32 +334,24 @@ class _Sweep:
         self.windows = [
             slice(max(2 * j - 1, 0), min(2 * j + 1, n_rows)) for j in range(len(self.responses))
         ]
-        # Each subdomain's interface-row kernels on the state rows it depends on.
+        # Each subdomain's interface-row kernels, with the error rows they act on.
         kernels = [r.spectra[:, r.interface_rows] for r in self.responses]
-        self.state_rows = np.arange(0, n_rows, 2 if self.gauss_seidel else 1)
-        state_windows = self.windows
+        self.state_rows = slice(None, None, 2 if self.gauss_seidel else 1)
+        reads = self.windows
         if self.gauss_seidel:
-            state_windows = [slice(0, min(j + 1, n_rows // 2)) for j in range(len(kernels))]
+            reads = [slice(0, 2 * j + 1, 2) for j in range(len(kernels))]
             for j, response in enumerate(self.responses[1:], 1):
-                # What subdomain j's ends receive for an impulse in each state row 0..j.
-                shape = (state_windows[j].stop, len(response.interface_rows), n + 1)
+                # What subdomain j's ends receive for an impulse in each error row 0, 2, ..., 2j.
+                shape = (min(j + 1, n_rows // 2), len(response.interface_rows), n + 1)
                 g_hat = np.zeros(shape, dtype=complex)
                 g_hat[:j, 0] = self.sums[2 * j - 2] * kernels[j - 1][:, -1]
                 g_hat[j - 1, 0] -= 1.0
-                g_hat[j:, 1:] = 1.0  # state row j; the last subdomain has none
+                g_hat[j:, 1:] = 1.0  # error row 2j; the last subdomain has none
                 kernels[j] = response.transform(response.rows(g_hat, response.interface_rows))
-
-        self.columns = []
-        for s in range(len(self.state_rows)):
-            reached = [
-                (window.start, k[s - state.start])
-                for k, window, state in zip(kernels, self.windows, state_windows)
-                if state.start <= s < state.stop
-            ]
-            self.columns.append((reached[0][0], np.concatenate([k for _, k in reached])))
+        self.kernels = list(zip(kernels, reads))
 
     def initial(self, init: str, reference: SpaceTimeField) -> np.ndarray:
-        """The first error g - g*, every row.
+        """The first state: the rows ``state_rows`` of the first error g - g*.
 
         Robin data are sigma * u + outward flux; the first guess takes u as
         0 (``zero``) or as u0 at the interface node (``from_initial``) and
@@ -369,7 +361,7 @@ class _Sweep:
         problem, deco = self.problem, self.decomposition
         delta = np.zeros((len(self.sigmas), problem.n_steps))
         if init == "exact":
-            return delta
+            return delta[self.state_rows]
         u0 = problem.initial_values(deco.global_mesh)
         for i, node in enumerate(deco.interface_nodes):
             guess = u0[node] if init == "from_initial" else 0.0
@@ -386,27 +378,25 @@ class _Sweep:
             )
             delta[2 * i] = self.sigmas[2 * i] * miss - flux
             delta[2 * i + 1] = self.sigmas[2 * i + 1] * miss + flux
-        return delta
+        return delta[self.state_rows]
 
     def apply(self, state: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The next state, the spectrum of the error the sweep read and every interface row.
 
-        The error the sweep read is the state under Jacobi; under
-        Gauss-Seidel its odd rows are those the sweep wrote.  Both arrays
-        are indexed like the error.
+        The error the sweep read is the state in its rows ``state_rows``;
+        under Gauss-Seidel its odd rows are those the sweep wrote.  Both
+        arrays are indexed like the error.
         """
         n = self.n_steps
-        s_hat = np.fft.rfft(state, 2 * n)
-        ends_hat = np.zeros((len(self.sums), n + 1), dtype=complex)
-        for (first, kernels), row in zip(self.columns, s_hat):
-            ends_hat[first : first + len(kernels)] += kernels * row
+        e_hat = np.empty((len(self.sums), n + 1), dtype=complex)
+        np.fft.rfft(state, 2 * n, out=e_hat[self.state_rows])
+        ends_hat = np.concatenate([(k * e_hat[rows, None]).sum(0) for k, rows in self.kernels])
         devs = np.fft.irfft(ends_hat, 2 * n)[:, :n]
         exchanged = self.sums * devs
         if not self.gauss_seidel:
-            return (exchanged - state)[self.exchange], s_hat, devs
+            return (exchanged - state)[self.exchange], e_hat, devs
         odd = exchanged[0::2] - state
-        e_hat = np.empty_like(ends_hat)
-        e_hat[0::2], e_hat[1::2] = s_hat, np.fft.rfft(odd, 2 * n)
+        np.fft.rfft(odd, 2 * n, out=e_hat[1::2])
         return exchanged[1::2] - odd, e_hat, devs
 
     def error(self, e_hat: np.ndarray, devs: np.ndarray) -> float:
@@ -493,6 +483,8 @@ def oswr_iterate(
         raise ValueError(f"need {n_ifaces} parameter sets, got {len(params)}")
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be positive")
+    if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
+        raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
 
@@ -513,7 +505,7 @@ def oswr_iterate(
     # Data near the double limit overflow to inf or nan; the finiteness
     # check below reports that, with no warning on the way.
     with np.errstate(over="ignore", invalid="ignore"):
-        state = sweeps.initial(init, reference)[sweeps.state_rows]
+        state = sweeps.initial(init, reference)
         for k in range(1, max_iter + 1):
             state, e_hat, devs = sweeps.apply(state)
             err = sweeps.error(e_hat, devs)

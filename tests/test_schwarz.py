@@ -198,6 +198,36 @@ def test_iterate_validates_inputs():
 
 
 @pytest.mark.parametrize(
+    "max_iter, match",
+    [
+        (10.0, "max_iter must be an integer, got 10.0"),
+        (True, "max_iter must be an integer, got True"),
+        (0, "max_iter must be >= 1"),
+    ],
+)
+def test_max_iter_that_is_not_a_count_is_rejected_before_any_work(monkeypatch, max_iter, match):
+    # 10.0 once passed the check, solved the reference and built the sweep
+    # before range() failed on it; True ran one iteration.
+    problem, _, deco = _reference_problem(10)
+    params = optimize("II", REF_BAND, DiffusionPair(1.0, 0.1)).params
+
+    def no_work(*args):
+        raise AssertionError("max_iter must be rejected first")
+
+    monkeypatch.setattr(schwarz, "solve_monolithic", no_work)
+    monkeypatch.setattr(schwarz, "_Sweep", no_work)
+    with pytest.raises(ValueError, match=match):
+        oswr_iterate(problem, deco, [params], max_iter=max_iter)
+
+
+def test_max_iter_may_be_a_numpy_integer():
+    problem, _, deco = _reference_problem(10)
+    params = optimize("II", REF_BAND, DiffusionPair(1.0, 0.1)).params
+    history, _ = oswr_iterate(problem, deco, [params], tol=1e-300, max_iter=np.int64(5))
+    assert len(history.errors) == 5 and history.max_iter == 5
+
+
+@pytest.mark.parametrize(
     "nx, dt, final_time, match",
     [
         (20, 1.0 / 40.0, 5.0, r"reference mesh \(21 nodes\) is not the decomposition's"),
