@@ -25,92 +25,16 @@ if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
     finally:
         del os.environ["OPENBLAS_NUM_THREADS"]
 
-from .frequency import (
-    DiffusionPair,
-    FrequencyBand,
-    TransmissionParams,
-    frequency_band_from_grid,
-    interior_critical_frequencies,
-    max_rho_over_band,
-    rho,
-    sufficient_condition_holds,
-)
-from .optimize import (
-    CaseDataError,
-    OptimizationError,
-    OptimizedResult,
-    VersionICaseData,
-    brute_force_minmax,
-    optimize,
-    optimize_v1,
-    optimize_v2,
-    optimize_v3,
-    quartic_positive_roots,
-    restriction_interval_v1,
-    restriction_intervals_v3,
-    v3_residual,
-)
-from .fem import (
-    DiffusionProfile,
-    HeatProblem,
-    Mesh1D,
-    NonFiniteSolution,
-    RobinBoundaryData,
-    SpaceTimeField,
-    assemble_operators,
-    solve_monolithic,
-    solve_subdomain_robin,
-    variational_flux,
-)
-from .schwarz import (
-    ConvergenceHistory,
-    Decomposition,
-    IterationDiverged,
-    combined_error,
-    decompose,
-    interface_diffusion_pairs,
-    oswr_iterate,
-)
+# Each module's ``__all__`` is the one list of its public names; the
+# package re-exports them all.  The function ``optimize`` replaces its
+# module as the package attribute ``oswr.optimize``.
+from . import fem, frequency, optimize, schwarz
 
-__all__ = [
-    "DiffusionPair",
-    "FrequencyBand",
-    "TransmissionParams",
-    "frequency_band_from_grid",
-    "interior_critical_frequencies",
-    "max_rho_over_band",
-    "rho",
-    "sufficient_condition_holds",
-    "CaseDataError",
-    "OptimizationError",
-    "OptimizedResult",
-    "VersionICaseData",
-    "brute_force_minmax",
-    "optimize",
-    "optimize_v1",
-    "optimize_v2",
-    "optimize_v3",
-    "quartic_positive_roots",
-    "restriction_interval_v1",
-    "restriction_intervals_v3",
-    "v3_residual",
-    "DiffusionProfile",
-    "HeatProblem",
-    "Mesh1D",
-    "NonFiniteSolution",
-    "RobinBoundaryData",
-    "SpaceTimeField",
-    "assemble_operators",
-    "solve_monolithic",
-    "solve_subdomain_robin",
-    "variational_flux",
-    "ConvergenceHistory",
-    "Decomposition",
-    "IterationDiverged",
-    "combined_error",
-    "decompose",
-    "interface_diffusion_pairs",
-    "oswr_iterate",
-]
+__all__ = [*frequency.__all__, *optimize.__all__, *fem.__all__, *schwarz.__all__]
+
+from .frequency import *  # noqa: F403
+from .optimize import *  # noqa: F403
+from .fem import *  # noqa: F403
+from .schwarz import *  # noqa: F403
 
 __version__ = "0.1.0"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import os
 import sys
 from dataclasses import dataclass, field, fields, replace
@@ -112,9 +113,17 @@ _MAX_POINTS = 10**6
 # and 2e5 and 4e5 levels), so this keeps a run below about 1 GB.
 _MAX_SOLVE_ENTRIES = 2 * 10**7
 
+# A kind's values, or a list kind's entries: their type, the words an error
+# message names them by, and the parser of their text.  A bool is none of them.
+_KINDS = {
+    "int": (numbers.Integral, "an integer", int),
+    "float": (numbers.Real, "a number", float),
+    "str": ((str, os.PathLike), "a string", str),
+}
+
 # A key's own rule, named by the words its error message uses.
 _RULES = {
-    "positive": lambda v: isinstance(v, (int, float)) and math.isfinite(v) and v > 0,
+    "positive": lambda v: math.isfinite(v) and v > 0,
     "finite": math.isfinite,
     ">= 1": lambda v: v >= 1,
 }
@@ -144,41 +153,34 @@ class ConfigKey(NamedTuple):
 
     def parse(self, raw: str):
         """The value of ``raw`` for this key; ConfigError if it has the wrong kind."""
-        if self.kind == "str":
-            return raw
-        if self.kind == "int":
+        _, noun, convert = _KINDS[self.kind.rstrip("s")]
+        many = self.kind.endswith("s")
+        texts = [s.strip() for s in raw.split(",") if s.strip()] if many else [raw]
+        values = []
+        for text in texts:
             try:
-                return int(raw)
+                values.append(convert(text))
             except ValueError:
-                raise ConfigError(f"{self.name} expects an integer, got {raw!r}") from None
-        if self.kind == "float":
-            return self._number(raw)
-        items = [s.strip() for s in raw.split(",") if s.strip()]
-        if self.kind == "strs":
-            return tuple(items)
-        return tuple(self._number(s) for s in items)
-
-    def _number(self, raw: str) -> float:
-        try:
-            return float(raw)
-        except ValueError:
-            raise ConfigError(f"{self.name} expects a number, got {raw!r}") from None
+                raise ConfigError(f"{self.name} expects {noun}, got {text!r}") from None
+        return tuple(values) if many else values[0]
 
     def check(self, value) -> None:
-        """ConfigError unless ``value`` keeps this key's own rule and choices."""
+        """ConfigError unless ``value`` has this key's kind and keeps its own rule and choices."""
         if value is None:  # out_dir unset, or ratios left to the scenario
             return
-        if self.kind == "strs":
-            if not value or len(set(value)) < len(value) or not set(value) <= set(self.choices):
-                raise ConfigError(
-                    f"{self.name} must be a nonempty subset of {','.join(self.choices)}, "
-                    f"got {value!r}"
-                )
-            return
-        items = value if self.kind == "floats" else (value,)
+        items = value if self.kind.endswith("s") else (value,)
+        kind, noun, _ = _KINDS[self.kind.rstrip("s")]
+        if self.kind == "strs" and (
+            not value or len(set(value)) < len(value) or not set(value) <= set(self.choices)
+        ):
+            raise ConfigError(
+                f"{self.name} must be a nonempty subset of {','.join(self.choices)}, got {value!r}"
+            )
         if self.nonempty and not items:
             raise ConfigError(f"{self.name} must not be empty")
         for v in items:
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ConfigError(f"{self.name} expects {noun}, got {v!r}")
             if self.choices is not None and v not in self.choices:
                 *most, last = self.choices
                 raise ConfigError(f"{self.name} must be {', '.join(most)} or {last}, got {v!r}")

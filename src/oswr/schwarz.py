@@ -82,7 +82,6 @@ __all__ = [
     "Decomposition",
     "ConvergenceHistory",
     "decompose",
-    "combined_error",
     "interface_diffusion_pairs",
     "oswr_iterate",
 ]
@@ -170,18 +169,6 @@ class ConvergenceHistory:
         return self.iterations_to_tolerance is not None
 
 
-def combined_error(deviations) -> float:
-    """Max-norm distance between the subdomain fields and the monolithic field.
-
-    ``deviations`` holds arrays of subdomain field minus monolithic field
-    at time levels 1..n_steps, one per subdomain, interface nodes on both
-    owners.  A nan or inf entry gives a nan or inf result.
-    ``oswr_iterate`` does not call it: its sweep keeps the same maximum
-    as it goes, over the rows that can hold it (``_Sweep.error``).
-    """
-    return float(functools.reduce(np.maximum, [np.abs(dev).max() for dev in deviations]))
-
-
 def interface_diffusion_pairs(
     problem: HeatProblem, decomposition: Decomposition
 ) -> list[DiffusionPair]:
@@ -227,7 +214,7 @@ class _SubdomainResponse:
     subdomain, no time loop).  Applied to the subdomain's rows of the
     Robin-data error g - g*, it gives the subdomain's deviation from the
     monolithic reference: one irfft per node asked for (``rows``) of the
-    input spectra (``transform``).  The subdomain's ends are the pair
+    input spectra.  The subdomain's ends are the pair
     (sigma_left, sigma_right), None at a Dirichlet end; its interface rows
     are its Robin-end nodes.
 
@@ -247,10 +234,6 @@ class _SubdomainResponse:
         # The Robin-end nodes, left end first: the rows the exchange reads.
         self.interface_rows = [i for i, s in zip((0, mesh.n_nodes - 1), ends) if s is not None]
         self.inner_rows = slice(ends[0] is not None, mesh.n_nodes - (ends[1] is not None))
-
-    def transform(self, series: np.ndarray) -> np.ndarray:
-        """Spectrum of one series per input (the last axis but one)."""
-        return np.fft.rfft(series, 2 * self.n_steps)
 
     def rows(self, g_hat: np.ndarray, nodes=slice(None)) -> np.ndarray:
         """H_j applied to the input spectrum ``g_hat``, at ``nodes`` by levels 1..n_steps.
@@ -306,8 +289,8 @@ class _Sweep:
 
     ``apply`` writes the state's spectrum into its rows of the error's
     spectrum, sums each subdomain's kernel products over its rows into
-    its interface rows, in the error's order (row r is the deviation at
-    the end that error row r feeds), and forms the next state from those
+    its interface rows, which are its error rows ``windows[j]`` (row r is
+    the deviation at the end that error row r feeds), and forms the next state from those
     rows by the exchange.  Every other row of subdomain j comes from its
     own spectra and the spectrum of its own error rows ``windows[j]``, as
     the sweep read them: ``error`` adds the inner rows whose bound reaches
@@ -347,7 +330,7 @@ class _Sweep:
                 g_hat[:j, 0] = self.sums[2 * j - 2] * kernels[j - 1][:, -1]
                 g_hat[j - 1, 0] -= 1.0
                 g_hat[j:, 1:] = 1.0  # error row 2j; the last subdomain has none
-                kernels[j] = response.transform(response.rows(g_hat, response.interface_rows))
+                kernels[j] = np.fft.rfft(response.rows(g_hat, response.interface_rows), 2 * n)
         self.kernels = list(zip(kernels, reads))
 
     def initial(self, init: str, reference: SpaceTimeField) -> np.ndarray:
@@ -390,7 +373,9 @@ class _Sweep:
         n = self.n_steps
         e_hat = np.empty((len(self.sums), n + 1), dtype=complex)
         np.fft.rfft(state, 2 * n, out=e_hat[self.state_rows])
-        ends_hat = np.concatenate([(k * e_hat[rows, None]).sum(0) for k, rows in self.kernels])
+        ends_hat = np.empty_like(e_hat)
+        for (k, rows), window in zip(self.kernels, self.windows):
+            (k * e_hat[rows, None]).sum(0, out=ends_hat[window])
         devs = np.fft.irfft(ends_hat, 2 * n)[:, :n]
         exchanged = self.sums * devs
         if not self.gauss_seidel:
@@ -481,8 +466,8 @@ def oswr_iterate(
     n_ifaces = len(decomposition.interfaces)
     if len(params) != n_ifaces:
         raise ValueError(f"need {n_ifaces} parameter sets, got {len(params)}")
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise ValueError("tol must be positive")
+    if isinstance(tol, bool) or not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError(f"tol must be a positive number, got {tol!r}")
     if isinstance(max_iter, bool) or not isinstance(max_iter, (int, np.integer)):
         raise ValueError(f"max_iter must be an integer, got {max_iter!r}")
     if max_iter < 1:

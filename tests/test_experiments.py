@@ -106,6 +106,36 @@ def test_config_validate_layer_counts():
         cfg.validate()
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("tolerance", True, "tolerance expects a number, got True"),
+        ("T", True, "T expects a number, got True"),
+        ("max_iter", True, "max_iter expects an integer, got True"),
+        ("max_iter", 10.0, "max_iter expects an integer, got 10.0"),
+        ("rho_points", 600.5, "rho_points expects an integer, got 600.5"),
+        ("ratios", (10.0, True), "ratios expects a number, got True"),
+        ("nu1", "2", "nu1 expects a number, got '2'"),
+        ("out_dir", True, "out_dir expects a string, got True"),
+    ],
+)
+def test_library_values_of_another_kind_are_config_errors(tmp_path, key, value, message):
+    # True ran as 1 for tolerance, T and max_iter; 10.0 ended in a ValueError
+    # from oswr_iterate and 600.5 in a TypeError from np.geomspace.
+    settings = {"scenario": "rho_curves" if key == "rho_points" else "ratio_sweep",
+                "out_dir": str(tmp_path / "out"), key: value}
+    with pytest.raises(ConfigError) as caught:
+        run_scenario(ExperimentConfig(**settings))
+    assert str(caught.value) == message
+    assert not (tmp_path / "out").exists()
+
+
+def test_library_values_may_be_numpy_numbers_and_paths(tmp_path):
+    ExperimentConfig(
+        T=np.float64(5.0), max_iter=np.int64(5), ratios=(np.float64(10.0),), out_dir=tmp_path
+    ).validate()
+
+
 def test_allowed_choices_come_from_the_library():
     assert VERSIONS == ("I", "II", "III")
     (commands,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]

@@ -22,7 +22,6 @@ from oswr.optimize import optimize, optimize_v2, optimize_v3
 from oswr.schwarz import (
     ConvergenceHistory,
     IterationDiverged,
-    combined_error,
     decompose,
     interface_diffusion_pairs,
     oswr_iterate,
@@ -75,13 +74,20 @@ def test_decompose_rejections():
 # ------------------------------------------------------------- error metric
 
 
-def test_combined_error_trivial_cases():
+def test_sweep_error_trivial_cases():
+    problem = HeatProblem(
+        DiffusionProfile((1.0, 0.25), (0.5,)), None, 20.0, 0.0, 0.0, 1.0, 0.25
+    )
     deco = decompose(Mesh1D.uniform(0.0, 1.0, 4), [0.5])
-    deviations = [np.zeros((4, hi - lo)) for lo, hi in deco.node_ranges]
-    assert combined_error(deviations) == 0.0
-    # an interface column of the right subdomain
-    deviations[1][2, 0] = -0.125
-    assert combined_error(deviations) == 0.125
+    params = optimize_v2(frequency_band_from_grid(1.0, 0.25), DiffusionPair(1.0, 0.25)).params
+    for sweep in schwarz.SWEEP_MODES:
+        sweeps = schwarz._Sweep(problem, deco, [params], sweep)
+        e_hat = np.zeros((2, problem.n_steps + 1), dtype=complex)
+        devs = np.zeros((2, problem.n_steps))
+        assert sweeps.error(e_hat, devs) == 0.0
+        # an interface row: the left end of the right subdomain
+        devs[1, 2] = -0.125
+        assert sweeps.error(e_hat, devs) == 0.125
 
 
 # ---------------------------------------------------------------- iteration
@@ -191,8 +197,9 @@ def test_iterate_validates_inputs():
         oswr_iterate(problem, deco, [params], init="warm", reference=reference)
     with pytest.raises(ValueError):
         oswr_iterate(problem, deco, [params], sweep="chaotic", reference=reference)
-    with pytest.raises(ValueError):
-        oswr_iterate(problem, deco, [params], tol=-1.0, reference=reference)
+    for tol in (-1.0, True):
+        with pytest.raises(ValueError, match=f"tol must be a positive number, got {tol}"):
+            oswr_iterate(problem, deco, [params], tol=tol, reference=reference)
     with pytest.raises(ValueError):
         oswr_iterate(problem, deco, [params], max_iter=0, reference=reference)
 

@@ -143,9 +143,9 @@ def _stepping_reference(problem, deco, params, init, sweep, max_iter, tol, refer
                 state[j]["left_trace"] = field.values[1:, -1]
                 state[j]["left_flux"] = _outward_flux(problem, mesh, field.values, "right")
         errors.append(
-            schwarz.combined_error(
-                [f.values[1:] - reference.values[1:, lo:hi]
-                 for f, (lo, hi) in zip(fields, deco.node_ranges)]
+            max(
+                np.abs(f.values[1:] - reference.values[1:, lo:hi]).max()
+                for f, (lo, hi) in zip(fields, deco.node_ranges)
             )
         )
         if errors[-1] <= tol:
@@ -183,7 +183,7 @@ def test_superposition_matches_direct_solve(rng, sides, lumped_mass):
         problem, mesh, tuple(sigmas[side] if side in sides else None for side in ("left", "right"))
     )
     difference = np.stack([series[side] - first[side] for side in sides])
-    deviation = response.rows(response.transform(difference)).T
+    deviation = response.rows(np.fft.rfft(difference, 2 * problem.n_steps)).T
     direct = direct_solve(series)
 
     rebuilt = direct_solve(first).values[1:] + deviation
@@ -258,11 +258,9 @@ def test_no_time_stepping_and_fixed_solve_count_per_case(
 @pytest.mark.parametrize("n_interfaces", [1, 2])
 def test_call_contract_of_the_iteration(monkeypatch, n_interfaces, init):
     """One error evaluation per iteration; one flux recovery per interface
-    for a guessed start and none for the exact one.  The sweep keeps the
-    error's running maximum itself: ``combined_error`` is not called."""
+    for a guessed start and none for the exact one."""
     problem, deco, params, reference = _small_case(n_interfaces)
     errors = _counting(monkeypatch, "error", schwarz._Sweep)
-    combined = _counting(monkeypatch, "combined_error")
     fluxes = _counting(monkeypatch, "variational_flux")
     for tol, max_iter in ((1e-300, 5), (1e-6, 1000)):
         errors.clear()
@@ -274,7 +272,6 @@ def test_call_contract_of_the_iteration(monkeypatch, n_interfaces, init):
         assert len(errors) == len(history.errors)
         assert len(fluxes) == (0 if init == "exact" else n_interfaces)
     assert history.converged
-    assert combined == []
 
 
 @pytest.mark.parametrize("sweep", schwarz.SWEEP_MODES)
