@@ -18,6 +18,7 @@ import sys
 from .experiments import (
     CONFIG_KEYS,
     DEFAULT_RATIOS,
+    SCENARIOS,
     ConfigError,
     ExperimentConfig,
     ScenarioError,
@@ -30,14 +31,9 @@ from .fem import NonFiniteSolution
 from .optimize import OptimizationError
 from .schwarz import IterationDiverged
 
+# One subcommand per scenario, in its order: its name with '-' for '_'.
 _SCENARIO_COMMANDS = {
-    "ratio-sweep": "ratio_sweep",
-    "dt-sweep": "dt_sweep",
-    "dx-sweep": "dx_sweep",
-    "rho-curves": "rho_curves",
-    "v3-root-scan": "v3_root_scan",
-    "tps": "tps_three_layer",
-    "custom": "custom",
+    "tps" if s == "tps_three_layer" else s.replace("_", "-"): s for s in SCENARIOS
 }
 
 

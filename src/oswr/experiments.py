@@ -166,9 +166,14 @@ class ConfigKey(NamedTuple):
 
     def check(self, value) -> None:
         """ConfigError unless ``value`` has this key's kind and keeps its own rule and choices."""
-        if value is None:  # out_dir unset, or ratios left to the scenario
+        many = self.kind.endswith("s")
+        # None only where it is the field's default: out_dir unset, or
+        # ratios left to the scenario.
+        if value is None and getattr(ExperimentConfig, self.name) is None:
             return
-        items = value if self.kind.endswith("s") else (value,)
+        if many and not isinstance(value, (tuple, list)):  # a str is no list of strs
+            raise ConfigError(f"{self.name} expects a list, got {value!r}")
+        items = value if many else (value,)
         kind, noun, _ = _KINDS[self.kind.rstrip("s")]
         if self.kind == "strs" and (
             not value or len(set(value)) < len(value) or not set(value) <= set(self.choices)
@@ -492,10 +497,7 @@ def _fit_grid(cfg: ExperimentConfig, dx: float, dt: float) -> tuple[Mesh1D, Deco
     n_elements = round(1.0 / dx)
     if n_elements < 2 or abs(n_elements * dx - 1.0) > 1e-9:
         raise ConfigError(f"dx={dx} does not divide the unit domain")
-    try:
-        mesh = Mesh1D.uniform(0.0, 1.0, n_elements)
-    except ValueError as exc:
-        raise ConfigError(f"dx={dx} gives no mesh: {exc}") from None
+    mesh = Mesh1D.uniform(0.0, 1.0, n_elements)
     try:
         return mesh, decompose(mesh, cfg.interfaces)
     except ValueError as exc:

@@ -140,7 +140,7 @@ def decompose(global_mesh: Mesh1D, interfaces) -> Decomposition:
             raise ValueError(
                 f"subdomain between nodes {lo} and {hi} has fewer than 2 elements"
             )
-        submeshes.append(Mesh1D(global_mesh.nodes[lo : hi + 1]))
+        submeshes.append(Mesh1D(global_mesh.nodes[lo], global_mesh.nodes[hi], hi - lo))
         ranges.append((lo, hi + 1))
     return Decomposition(
         global_mesh,
@@ -475,7 +475,7 @@ def oswr_iterate(
 
     if reference is None:
         reference = solve_monolithic(problem, decomposition.global_mesh)
-    elif not np.array_equal(reference.mesh.nodes, decomposition.global_mesh.nodes):
+    elif reference.mesh != decomposition.global_mesh:
         raise ValueError(
             f"reference mesh ({reference.n_nodes} nodes) is not the decomposition's "
             f"global mesh ({decomposition.global_mesh.n_nodes} nodes)"

@@ -57,6 +57,14 @@ def test_decompose_three_layer_geometry():
     assert deco.submeshes[1].nodes[-1] == deco.submeshes[2].nodes[0]
 
 
+def test_equal_meshes_split_at_the_same_cuts_give_equal_decompositions():
+    deco = decompose(Mesh1D.uniform(0.0, 1.0, 40), [0.25, 0.5])
+    again = decompose(Mesh1D(0.0, 1.0, 40), (0.25, 0.5))
+    assert deco == again and hash(deco) == hash(again)
+    assert deco.submeshes[1] == Mesh1D(0.25, 0.5, 10)
+    assert deco != decompose(Mesh1D(0.0, 1.0, 40), [0.25, 0.75])
+
+
 def test_decompose_rejections():
     mesh = Mesh1D.uniform(0.0, 1.0, 4)
     with pytest.raises(ValueError):
